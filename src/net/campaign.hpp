@@ -96,8 +96,9 @@ CampaignRound JudgeExecution(SessionExecutionReport report,
                              std::uint32_t frames_per_block = 16);
 
 /// Replays every selected BIST session of `impl` under each schedule round
-/// and judges the invariants. `base` supplies transport/plan options; its
-/// fault config is overridden per round.
+/// and judges the invariants. `base` supplies transport/plan options and
+/// `threads`; its fault config is overridden per round. All rounds run as
+/// one SessionExecutor::ExecuteRounds grid.
 CampaignReport RunAdversarialCampaign(
     const model::Specification& spec,
     const model::BistAugmentation& augmentation,

@@ -5,7 +5,16 @@
 
 namespace bistdse::net {
 
+namespace {
+
+constexpr std::size_t kHeapArity = 4;
+
+}  // namespace
+
 BusIndex NetworkEngine::AddBus(std::string name, double bitrate_bps) {
+  if (buses_.size() > Event::kMaxTarget) {
+    throw std::length_error("too many buses for the event encoding");
+  }
   Bus bus;
   bus.name = std::move(name);
   bus.bitrate_bps = bitrate_bps;
@@ -13,7 +22,7 @@ BusIndex NetworkEngine::AddBus(std::string name, double bitrate_bps) {
   return buses_.size() - 1;
 }
 
-std::size_t NetworkEngine::AddSlot(PeriodicSlot slot) {
+std::size_t NetworkEngine::AddSlot(const PeriodicSlot& slot) {
   if (slot.path.empty() || slot.path.size() != slot.hop_ids.size()) {
     throw std::invalid_argument("slot path/hop_ids malformed");
   }
@@ -29,96 +38,155 @@ std::size_t NetworkEngine::AddSlot(PeriodicSlot slot) {
     // the mirrored download/upload paths of the paper need.
     throw std::invalid_argument("transport slots must be single-segment");
   }
-  const auto index = static_cast<std::uint32_t>(slots_.size());
-  stats_.emplace_back(slot.path.size());
-  const double first = slot.first_release_ms;
-  slots_.push_back(std::move(slot));
-  Push(first, EventKind::Release, index, 0);
+  if (hops_.size() + slot.path.size() > Event::kMaxTarget) {
+    throw std::length_error("too many slot hops for the event encoding");
+  }
+  const auto index = static_cast<std::uint32_t>(slot_state_.size());
+  slot_state_.push_back({slot.message.period_ms, slot.message.payload_bytes,
+                         static_cast<std::uint32_t>(hops_.size()),
+                         slot.client});
+  for (std::size_t h = 0; h < slot.path.size(); ++h) {
+    const BusIndex bus = slot.path[h];
+    hops_.push_back({slot.message.FrameTimeMs(buses_[bus].bitrate_bps),
+                     slot.hop_ids[h], static_cast<std::uint32_t>(bus), index,
+                     h + 1 == slot.path.size()});
+  }
+  stats_.resize(hops_.size());
+  Push(slot.first_release_ms, EventKind::Release, index);
   return index;
 }
 
-void NetworkEngine::Push(double time_ms, EventKind kind, std::uint32_t slot,
-                         std::uint32_t hop) {
-  events_.push(Event{time_ms, order_counter_++, kind, slot, hop});
+void NetworkEngine::Push(double time_ms, EventKind kind,
+                         std::uint32_t target) {
+  if (order_counter_ > Event::kMaxOrder) {
+    throw std::overflow_error("event order counter exhausted");
+  }
+  const Event e{Event::EncodeTime(time_ms),
+                order_counter_++ << Event::kOrderShift |
+                             std::uint64_t{static_cast<std::uint8_t>(kind)}
+                                 << Event::kTargetBits |
+                             target};
+  events_.push_back(e);
+  SiftUp(events_.size() - 1, e);
 }
 
-double NetworkEngine::Run(double until_ms, const std::function<bool()>& stop) {
-  while (!events_.empty() && events_.top().time_ms <= until_ms) {
-    const Event e = events_.top();
-    events_.pop();
-    now_ms_ = e.time_ms;
-    switch (e.kind) {
-      case EventKind::Release:
-        HandleRelease(e.slot);
-        break;
-      case EventKind::HopArrival:
-        Enqueue(e.slot, e.hop, FrameMeta{}, now_ms_);
-        break;
-      case EventKind::BusFree:
-        HandleCompletion(e.hop);
-        if (stop && stop()) return now_ms_;
-        break;
-    }
+void NetworkEngine::SiftUp(std::size_t i, const Event e) {
+  const unsigned __int128 rank = e.Rank();
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kHeapArity;
+    if (rank >= events_[parent].Rank()) break;
+    events_[i] = events_[parent];
+    i = parent;
   }
-  now_ms_ = std::max(now_ms_, until_ms);
-  return now_ms_;
+  events_[i] = e;
+}
+
+void NetworkEngine::PopEvent() {
+  const Event last = events_.back();
+  events_.pop_back();
+  const std::size_t n = events_.size();
+  if (n == 0) return;
+  // Bottom-up: move the smaller child into the hole down to a leaf, then
+  // sift `last` up from there (it usually belongs near the bottom).
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = kHeapArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kHeapArity, n);
+    std::size_t best = first;
+    unsigned __int128 best_rank = events_[first].Rank();
+    for (std::size_t c = first + 1; c < end; ++c) {
+      const unsigned __int128 r = events_[c].Rank();
+      best = r < best_rank ? c : best;
+      best_rank = r < best_rank ? r : best_rank;
+    }
+    events_[i] = events_[best];
+    i = best;
+  }
+  SiftUp(i, last);
+}
+
+bool NetworkEngine::Step() {
+  const Event e = events_.front();
+  PopEvent();
+  now_ms_ = e.TimeMs();
+  switch (e.Kind()) {
+    case EventKind::Release:
+      HandleRelease(e.Target());
+      return false;
+    case EventKind::HopArrival:
+      Enqueue(e.Target(), FrameMeta{});
+      return false;
+    case EventKind::BusFree:
+      HandleCompletion(e.Target());
+      return true;
+  }
+  return false;
 }
 
 void NetworkEngine::HandleRelease(std::uint32_t slot_index) {
-  const PeriodicSlot& slot = slots_[slot_index];
-  Push(now_ms_ + slot.message.period_ms, EventKind::Release, slot_index, 0);
+  const SlotState slot = slot_state_[slot_index];
+  Push(now_ms_ + slot.period_ms, EventKind::Release, slot_index);
 
   FrameMeta meta;
   if (slot.client != nullptr) {
     // A still-queued previous instance means the slot's last frame has not
     // even started — do not offer the client a second in-flight frame on the
     // same id (the controller buffer holds one frame per object).
-    Bus& bus = buses_[slot.path.front()];
-    if (bus.ready.count(slot.hop_ids.front()) > 0) return;
-    if (!slot.client->FillFrame(now_ms_, slot.message.payload_bytes, meta)) {
+    const Hop& hop = hops_[slot.first_hop];
+    const auto& ready = buses_[hop.bus].ready;
+    if (std::any_of(ready.begin(), ready.end(), [&](const PendingFrame& f) {
+          return f.id == hop.id;
+        })) {
+      return;
+    }
+    if (!slot.client->FillFrame(now_ms_, slot.payload_bytes, meta)) {
       return;  // transport has nothing to send: the mirrored slot idles
     }
   }
-  Enqueue(slot_index, 0, meta, now_ms_);
+  Enqueue(slot.first_hop, meta);
 }
 
-void NetworkEngine::Enqueue(std::uint32_t slot_index, std::uint32_t hop,
-                            const FrameMeta& meta, double release_ms) {
-  const PeriodicSlot& slot = slots_[slot_index];
-  const BusIndex bus_index = slot.path[hop];
-  Bus& bus = buses_[bus_index];
+void NetworkEngine::Enqueue(std::uint32_t hop_index, const FrameMeta& meta) {
+  const Hop& hop = hops_[hop_index];
+  auto& ready = buses_[hop.bus].ready;
   // Overload semantics as in can::CanSimulator: a new functional instance
   // replaces a previous one still queued on the same id.
-  bus.ready[slot.hop_ids[hop]] =
-      PendingFrame{slot_index, hop, release_ms, meta};
-  TraceFrame(TraceEventKind::FrameReleased, bus_index, slot.hop_ids[hop],
-             meta);
-  TryStart(bus_index);
+  const PendingFrame frame{hop.id, hop_index, now_ms_, meta};
+  const auto it = std::lower_bound(
+      ready.begin(), ready.end(), hop.id,
+      [](const PendingFrame& f, can::CanId id) { return f.id > id; });
+  if (it != ready.end() && it->id == hop.id) {
+    *it = frame;
+  } else {
+    ready.insert(it, frame);
+  }
+  if (frame_trace_) {
+    TraceFrame(TraceEventKind::FrameReleased, hop.bus, hop.id, meta);
+  }
+  TryStart(hop.bus);
 }
 
 void NetworkEngine::TryStart(BusIndex bus_index) {
   Bus& bus = buses_[bus_index];
   if (bus.busy || bus.ready.empty()) return;
-  const auto top = bus.ready.begin();
-  bus.in_flight = top->second;
-  bus.ready.erase(top);
+  bus.in_flight = bus.ready.back();
+  bus.ready.pop_back();
   bus.busy = true;
-  const PeriodicSlot& slot = slots_[bus.in_flight->slot];
-  const double frame_time = slot.message.FrameTimeMs(bus.bitrate_bps);
+  const double frame_time = hops_[bus.in_flight.hop].frame_ms;
   bus.busy_ms += frame_time;
-  Push(now_ms_ + frame_time, EventKind::BusFree, 0,
+  Push(now_ms_ + frame_time, EventKind::BusFree,
        static_cast<std::uint32_t>(bus_index));
 }
 
 void NetworkEngine::HandleCompletion(BusIndex bus_index) {
   Bus& bus = buses_[bus_index];
-  const PendingFrame frame = *bus.in_flight;
-  bus.in_flight.reset();
+  const PendingFrame frame = bus.in_flight;
   bus.busy = false;
 
-  const PeriodicSlot& slot = slots_[frame.slot];
-  const can::CanId id = slot.hop_ids[frame.hop];
-  SlotHopStats& stats = stats_[frame.slot][frame.hop];
+  const Hop hop = hops_[frame.hop];
+  SlotClient* const client = slot_state_[hop.slot].client;
+  SlotHopStats& stats = stats_[frame.hop];
   ++stats.frames_sent;
   const double response = now_ms_ - frame.release_ms;
   stats.max_response_ms = std::max(stats.max_response_ms, response);
@@ -128,6 +196,8 @@ void NetworkEngine::HandleCompletion(BusIndex bus_index) {
   const FrameFate fate =
       injector_ != nullptr ? injector_->Judge(is_transport)
                            : FrameFate::Delivered;
+  // Faults on transport frames are traced even without frame tracing.
+  const bool trace_fault = frame_trace_ || (trace_ != nullptr && is_transport);
   switch (fate) {
     case FrameFate::Reordered:
       // The frame reaches the receiver intact, just out of sequence; the
@@ -135,43 +205,45 @@ void NetworkEngine::HandleCompletion(BusIndex bus_index) {
       // and outcome delivery follow the Delivered path — only the counters
       // and trace attribute the event.
       ++stats.frames_reordered;
-      if (trace_ != nullptr && (trace_frames_ || is_transport)) {
-        trace_->Record({now_ms_, TraceEventKind::FrameReordered, bus.name, id,
-                        frame.meta.transfer, frame.meta.seq, ""});
+      if (trace_fault) {
+        trace_->Record({now_ms_, TraceEventKind::FrameReordered, bus.name,
+                        hop.id, frame.meta.transfer, frame.meta.seq, ""});
       }
       [[fallthrough]];
     case FrameFate::Delivered:
-      TraceFrame(TraceEventKind::FrameCompleted, bus_index, id, frame.meta);
-      if (frame.hop + 1 < slot.path.size()) {
+      if (frame_trace_) {
+        TraceFrame(TraceEventKind::FrameCompleted, bus_index, hop.id,
+                   frame.meta);
+      }
+      if (!hop.last) {
         // Store-and-forward: the gateway re-releases the frame on the next
         // segment after its processing delay.
-        Push(now_ms_ + gateway_delay_ms_, EventKind::HopArrival, frame.slot,
+        Push(now_ms_ + gateway_delay_ms_, EventKind::HopArrival,
              frame.hop + 1);
-        TraceFrame(TraceEventKind::GatewayForward, slot.path[frame.hop + 1],
-                   slot.hop_ids[frame.hop + 1], frame.meta);
-      } else if (slot.client != nullptr) {
-        slot.client->OnOutcome(now_ms_, frame.meta, fate);
+        if (frame_trace_) {
+          const Hop& next = hops_[frame.hop + 1];
+          TraceFrame(TraceEventKind::GatewayForward, next.bus, next.id,
+                     frame.meta);
+        }
+      } else if (client != nullptr) {
+        client->OnOutcome(now_ms_, frame.meta, fate);
       }
       break;
     case FrameFate::Dropped:
       ++stats.frames_dropped;
-      if (trace_ != nullptr && (trace_frames_ || is_transport)) {
-        trace_->Record({now_ms_, TraceEventKind::FrameDropped, bus.name, id,
-                        frame.meta.transfer, frame.meta.seq, ""});
+      if (trace_fault) {
+        trace_->Record({now_ms_, TraceEventKind::FrameDropped, bus.name,
+                        hop.id, frame.meta.transfer, frame.meta.seq, ""});
       }
-      if (slot.client != nullptr) {
-        slot.client->OnOutcome(now_ms_, frame.meta, fate);
-      }
+      if (client != nullptr) client->OnOutcome(now_ms_, frame.meta, fate);
       break;
     case FrameFate::Corrupted:
       ++stats.frames_corrupted;
-      if (trace_ != nullptr && (trace_frames_ || is_transport)) {
-        trace_->Record({now_ms_, TraceEventKind::FrameCorrupted, bus.name, id,
-                        frame.meta.transfer, frame.meta.seq, ""});
+      if (trace_fault) {
+        trace_->Record({now_ms_, TraceEventKind::FrameCorrupted, bus.name,
+                        hop.id, frame.meta.transfer, frame.meta.seq, ""});
       }
-      if (slot.client != nullptr) {
-        slot.client->OnOutcome(now_ms_, frame.meta, fate);
-      }
+      if (client != nullptr) client->OnOutcome(now_ms_, frame.meta, fate);
       break;
   }
   TryStart(bus_index);
@@ -179,7 +251,6 @@ void NetworkEngine::HandleCompletion(BusIndex bus_index) {
 
 void NetworkEngine::TraceFrame(TraceEventKind kind, BusIndex bus,
                                can::CanId id, const FrameMeta& meta) {
-  if (trace_ == nullptr || !trace_frames_) return;
   trace_->Record({now_ms_, kind, buses_[bus].name, id, meta.transfer,
                   meta.seq, ""});
 }

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 #include "bist/profile.hpp"
 #include "can/mirroring.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bistdse::net {
 
@@ -42,8 +44,8 @@ SessionExecutor::SessionExecutor(const model::Specification& spec,
 
 SessionExecution SessionExecutor::ExecuteOne(
     const model::Implementation& impl, const dse::RoutedBusNetwork& routed,
-    const dse::SessionPlan& plan, std::uint64_t transfer_id_base,
-    EventTrace* trace) const {
+    const dse::SessionPlan& plan, const FaultInjectorConfig& faults,
+    std::uint64_t transfer_id_base, EventTrace* trace) const {
   const auto& app = spec_.Application();
   const auto& arch = spec_.Architecture();
   const auto bound_at = BoundAt(spec_, impl);
@@ -80,7 +82,7 @@ SessionExecution SessionExecutor::ExecuteOne(
     }
   }
 
-  FaultInjectorConfig fault_config = options_.faults;
+  FaultInjectorConfig fault_config = faults;
   fault_config.seed += transfer_id_base;  // Independent stream per session.
   FaultInjector injector(fault_config);
   NetworkEngine engine(&injector, trace, options_.trace_frames);
@@ -285,24 +287,65 @@ SessionExecution SessionExecutor::ExecuteOne(
 
 SessionExecutionReport SessionExecutor::Execute(
     const model::Implementation& impl, EventTrace* trace) const {
-  SessionExecutionReport report;
+  return std::move(ExecuteRounds(impl, {&options_.faults, 1}, trace).front());
+}
+
+std::vector<SessionExecutionReport> SessionExecutor::ExecuteRounds(
+    const model::Implementation& impl,
+    std::span<const FaultInjectorConfig> rounds, EventTrace* trace) const {
   const auto plans = dse::PlanSessions(spec_, augmentation_, impl,
                                        options_.plan);
   const dse::RoutedBusNetwork routed =
       dse::BuildRoutedBusNetwork(spec_, impl, options_.id_stride);
 
+  // Transfer ids in plan order, two (download, upload) per executed session.
+  std::vector<std::uint64_t> transfer_ids(plans.size(), 0);
   std::uint64_t next_transfer_id = 1;
-  for (const dse::SessionPlan& plan : plans) {
-    SessionExecution session;
-    if (!plan.feasible) {
-      session.plan = plan;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    if (!plans[p].feasible) continue;
+    transfer_ids[p] = next_transfer_id;
+    next_transfer_id += 2;
+  }
+
+  // The (round x session) grid, round-major. Session costs spread over three
+  // orders of magnitude, so the pool gets one chunk per task.
+  const std::size_t tasks = rounds.size() * plans.size();
+  std::vector<SessionExecution> sessions(tasks);
+  std::vector<EventTrace> traces(trace != nullptr ? tasks : 0);
+  const auto run = [&](std::size_t i) {
+    const std::size_t p = i % plans.size();
+    SessionExecution& session = sessions[i];
+    if (!plans[p].feasible) {
+      session.plan = plans[p];
       session.executed = false;
       session.failure = "rejected: no mirrored bandwidth (Eq. 1 diverges)";
-    } else {
-      session = ExecuteOne(impl, routed, plan, next_transfer_id, trace);
-      next_transfer_id += 2;
+      return;
     }
+    session = ExecuteOne(impl, routed, plans[p], rounds[i / plans.size()],
+                         transfer_ids[p],
+                         trace != nullptr ? &traces[i] : nullptr);
+  };
+  // Longest planned session first: the pool hands out chunks in order and
+  // host time follows the planned time, so no long session starts last.
+  // threads = 1 is one chunk, which the pool runs inline on the caller.
+  std::vector<std::size_t> order(tasks);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return plans[a % plans.size()].total_ms >
+                            plans[b % plans.size()].total_ms;
+                   });
+  util::ThreadPool::Global().ParallelFor(
+      0, tasks, options_.threads == 0 ? tasks : options_.threads,
+      [&](std::size_t begin, std::size_t end, std::size_t /*slot*/) {
+        for (std::size_t i = begin; i < end; ++i) run(order[i]);
+      });
+  for (EventTrace& t : traces) trace->Append(std::move(t));
 
+  std::vector<SessionExecutionReport> reports(rounds.size());
+  for (std::size_t i = 0; i < tasks; ++i) {
+    SessionExecutionReport& report = reports[i / plans.size()];
+    SessionExecution& session = sessions[i];
     report.all_completed &= session.completed;
     report.all_wcrt_dominated &= session.wcrt_dominated;
     if (session.executed && session.completed && !session.plan.patterns_local &&
@@ -322,7 +365,7 @@ SessionExecutionReport SessionExecutor::Execute(
         session.download.corrupted + session.upload.corrupted;
     report.sessions.push_back(std::move(session));
   }
-  return report;
+  return reports;
 }
 
 void AttachOperationalValidation(const SessionExecutionReport& report,

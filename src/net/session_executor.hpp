@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,10 @@ struct SessionExecutorOptions {
   /// Safety cap: a transfer phase aborts after `stall_factor` x its
   /// analytical time without completing (diverging retry storms).
   double stall_factor = 50.0;
+  /// Parallelism of the (round x session) grid: 0 = one task per session on
+  /// the shared thread pool, 1 = serial, K > 1 = at most K chunks on the
+  /// pool. Results and traces are bit-identical for every value.
+  std::size_t threads = 0;
 };
 
 struct WcrtSample {
@@ -98,15 +103,29 @@ class SessionExecutor {
 
   /// Plans every selected BIST session of `impl` and executes each one in
   /// its own discrete-event network (one ECU is shut off at a time, as in
-  /// the paper's operational model). Infeasible plans (no mirrored
-  /// bandwidth) are reported as rejected, not silently skipped.
+  /// the paper's operational model) under `options.faults`. Infeasible plans
+  /// (no mirrored bandwidth) are reported as rejected, not silently skipped.
+  /// The one-round case of ExecuteRounds.
   SessionExecutionReport Execute(const model::Implementation& impl,
                                  EventTrace* trace = nullptr) const;
+
+  /// Executes the sessions of `impl` once per fault config in `rounds` and
+  /// returns one report per round. Report r equals Execute with
+  /// `options.faults = rounds[r]`. Every (round, session) pair runs with its
+  /// own engine and injector (seeded `faults.seed + transfer id`), so the
+  /// whole grid is one parallel loop; results and trace events are merged
+  /// in (round, session) order, which keeps them bit-identical for every
+  /// `options.threads`.
+  std::vector<SessionExecutionReport> ExecuteRounds(
+      const model::Implementation& impl,
+      std::span<const FaultInjectorConfig> rounds,
+      EventTrace* trace = nullptr) const;
 
  private:
   SessionExecution ExecuteOne(const model::Implementation& impl,
                               const dse::RoutedBusNetwork& routed,
                               const dse::SessionPlan& plan,
+                              const FaultInjectorConfig& faults,
                               std::uint64_t transfer_id_base,
                               EventTrace* trace) const;
 

@@ -1,6 +1,7 @@
 #include "net/trace.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
 
 namespace bistdse::net {
@@ -27,6 +28,12 @@ const char* ToString(TraceEventKind kind) {
     case TraceEventKind::DictReload: return "dict_reload";
   }
   return "unknown";
+}
+
+void EventTrace::Append(EventTrace&& other) {
+  events_.insert(events_.end(), std::make_move_iterator(other.events_.begin()),
+                 std::make_move_iterator(other.events_.end()));
+  other.events_.clear();
 }
 
 std::size_t EventTrace::CountKind(TraceEventKind kind) const {

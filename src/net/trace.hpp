@@ -58,6 +58,8 @@ struct TraceEvent {
 class EventTrace {
  public:
   void Record(TraceEvent event) { events_.push_back(std::move(event)); }
+  /// Moves every event of `other` to the end of this trace, in order.
+  void Append(EventTrace&& other);
 
   const std::vector<TraceEvent>& Events() const { return events_; }
   std::size_t CountKind(TraceEventKind kind) const;

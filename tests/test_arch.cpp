@@ -8,8 +8,10 @@
 // stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "arch/corpus.hpp"
@@ -352,6 +354,176 @@ TEST(CorpusSweep, InvariantsHoldOnSmallFamilies) {
     EXPECT_TRUE(t.campaign.all_q_bounded);
     EXPECT_TRUE(t.campaign.all_wcrt_dominated);
     EXPECT_TRUE(t.campaign.all_non_intrusive);
+  }
+}
+
+// --- parallel campaign grid --------------------------------------------------
+
+void ExpectSameTransfer(const net::TransferStats& a,
+                        const net::TransferStats& b) {
+  EXPECT_EQ(a.frames_sent, b.frames_sent);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.corrupted, b.corrupted);
+  EXPECT_EQ(a.reordered, b.reordered);
+  EXPECT_EQ(a.retransmissions, b.retransmissions);
+  EXPECT_EQ(a.fc_grants, b.fc_grants);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.max_retry_burst, b.max_retry_burst);
+}
+
+void ExpectSameSession(const net::SessionExecution& a,
+                       const net::SessionExecution& b) {
+  EXPECT_EQ(a.plan.ecu, b.plan.ecu);
+  EXPECT_EQ(a.plan.profile_index, b.plan.profile_index);
+  EXPECT_EQ(a.plan.patterns_local, b.plan.patterns_local);
+  EXPECT_EQ(a.plan.feasible, b.plan.feasible);
+  EXPECT_EQ(a.plan.total_ms, b.plan.total_ms);
+  EXPECT_EQ(a.plan.download_frames, b.plan.download_frames);
+  EXPECT_EQ(a.plan.fail_data_frames, b.plan.fail_data_frames);
+  EXPECT_EQ(a.plan.phases.size(), b.plan.phases.size());
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.failure, b.failure);
+  EXPECT_EQ(a.analytical_download_ms, b.analytical_download_ms);
+  EXPECT_EQ(a.analytical_upload_ms, b.analytical_upload_ms);
+  EXPECT_EQ(a.simulated_download_ms, b.simulated_download_ms);
+  EXPECT_EQ(a.simulated_upload_ms, b.simulated_upload_ms);
+  EXPECT_EQ(a.simulated_total_ms, b.simulated_total_ms);
+  ExpectSameTransfer(a.download, b.download);
+  ExpectSameTransfer(a.upload, b.upload);
+  EXPECT_EQ(a.wcrt_dominated, b.wcrt_dominated);
+  ASSERT_EQ(a.wcrt.size(), b.wcrt.size());
+  for (std::size_t i = 0; i < a.wcrt.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "wcrt sample " << i);
+    EXPECT_EQ(a.wcrt[i].bus, b.wcrt[i].bus);
+    EXPECT_EQ(a.wcrt[i].bus_name, b.wcrt[i].bus_name);
+    EXPECT_EQ(a.wcrt[i].id, b.wcrt[i].id);
+    EXPECT_EQ(a.wcrt[i].observed_ms, b.wcrt[i].observed_ms);
+    EXPECT_EQ(a.wcrt[i].analytical_ms, b.wcrt[i].analytical_ms);
+    EXPECT_EQ(a.wcrt[i].mirrored, b.wcrt[i].mirrored);
+  }
+}
+
+void ExpectSameReport(const net::SessionExecutionReport& a,
+                      const net::SessionExecutionReport& b) {
+  EXPECT_EQ(a.all_completed, b.all_completed);
+  EXPECT_EQ(a.all_wcrt_dominated, b.all_wcrt_dominated);
+  EXPECT_EQ(a.max_download_rel_error, b.max_download_rel_error);
+  EXPECT_EQ(a.total_retransmissions, b.total_retransmissions);
+  EXPECT_EQ(a.total_frames_dropped, b.total_frames_dropped);
+  EXPECT_EQ(a.total_frames_corrupted, b.total_frames_corrupted);
+  ASSERT_EQ(a.sessions.size(), b.sessions.size());
+  for (std::size_t i = 0; i < a.sessions.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "session " << i);
+    ExpectSameSession(a.sessions[i], b.sessions[i]);
+  }
+}
+
+void ExpectSameRound(const net::CampaignRound& a, const net::CampaignRound& b) {
+  EXPECT_EQ(a.faults.drop_rate, b.faults.drop_rate);
+  EXPECT_EQ(a.faults.corrupt_rate, b.faults.corrupt_rate);
+  EXPECT_EQ(a.faults.reorder_rate, b.faults.reorder_rate);
+  EXPECT_EQ(a.faults.seed, b.faults.seed);
+  EXPECT_EQ(a.faults.affect_functional, b.faults.affect_functional);
+  EXPECT_EQ(a.baseline, b.baseline);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.q_bounded, b.q_bounded);
+  EXPECT_EQ(a.wcrt_dominated, b.wcrt_dominated);
+  EXPECT_EQ(a.non_intrusive, b.non_intrusive);
+  EXPECT_EQ(a.failure, b.failure);
+  ExpectSameReport(a.report, b.report);
+}
+
+std::string Jsonl(const net::EventTrace& trace) {
+  std::ostringstream out;
+  trace.WriteJsonl(out);
+  return out.str();
+}
+
+/// The (round x session) grid on the pool against the serial path: every
+/// CampaignRound, every SessionExecution field and the JSONL trace bytes are
+/// identical, and a round equals a one-round Execute under its faults.
+void ExpectGridMatchesSerial(const model::Specification& spec,
+                             const model::BistAugmentation& augmentation,
+                             bool use_can_fd) {
+  dse::ExplorationConfig config;
+  config.evaluations = 120;
+  config.population_size = 12;
+  config.seed = 5;
+  config.evaluation.use_can_fd = use_can_fd;
+  dse::Explorer explorer(spec, augmentation, config);
+  const auto front = explorer.Run();
+  ASSERT_FALSE(front.pareto.empty());
+  // The best-quality point selects the most BIST sessions.
+  const auto& impl =
+      std::max_element(front.pareto.begin(), front.pareto.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.objectives.test_quality_percent <
+                                b.objectives.test_quality_percent;
+                       })
+          ->implementation;
+
+  net::CampaignScheduleSpec schedule;
+  schedule.rounds = 2;
+  schedule.max_drop_rate = 0.05;
+  schedule.seed = 77;
+  net::SessionExecutorOptions serial;
+  serial.threads = 1;
+  net::SessionExecutorOptions pooled;
+  pooled.threads = 0;
+  const auto a =
+      net::RunAdversarialCampaign(spec, augmentation, impl, serial, schedule);
+  const auto b =
+      net::RunAdversarialCampaign(spec, augmentation, impl, pooled, schedule);
+  ASSERT_EQ(a.rounds.size(), 3u);
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  ASSERT_FALSE(a.rounds[0].report.sessions.empty());
+  EXPECT_GT(a.total_frames_dropped, 0u);  // the campaign is lossy
+  EXPECT_EQ(a.total_frames_dropped, b.total_frames_dropped);
+  EXPECT_EQ(a.total_frames_corrupted, b.total_frames_corrupted);
+  EXPECT_EQ(a.total_retransmissions, b.total_retransmissions);
+  EXPECT_EQ(a.Passed(), b.Passed());
+  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
+    SCOPED_TRACE(::testing::Message() << "round " << r);
+    ExpectSameRound(a.rounds[r], b.rounds[r]);
+  }
+
+  // The last (lossy) round as a one-round Execute, traced: the same report
+  // as inside the grid, and the same JSONL bytes serial and pooled.
+  serial.faults = net::MakeCampaignSchedule(schedule).back();
+  pooled.faults = serial.faults;
+  net::EventTrace serial_trace;
+  net::EventTrace pooled_trace;
+  ExpectSameReport(net::SessionExecutor(spec, augmentation, serial)
+                       .Execute(impl, &serial_trace),
+                   a.rounds.back().report);
+  ExpectSameReport(net::SessionExecutor(spec, augmentation, pooled)
+                       .Execute(impl, &pooled_trace),
+                   a.rounds.back().report);
+  const std::string serial_jsonl = Jsonl(serial_trace);
+  EXPECT_NE(serial_jsonl.find("\"kind\":\"retransmission\""),
+            std::string::npos);
+  EXPECT_EQ(serial_jsonl, Jsonl(pooled_trace));
+}
+
+TEST(CampaignGrid, PooledMatchesSerialOnCaseStudy) {
+  const auto cs =
+      casestudy::BuildCaseStudy(casestudy::ScaledTableI(1.0 / 1024, 4), 42);
+  ExpectGridMatchesSerial(cs.spec, cs.augmentation, false);
+}
+
+TEST(CampaignGrid, PooledMatchesSerialOnCorpusTopologies) {
+  CorpusSpec corpus = SmallCorpus();
+  corpus.max_ecus = 16;
+  corpus.max_buses = 4;
+  corpus.profile_pool = casestudy::ScaledTableI(1.0 / 1024, 3);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(::testing::Message() << "corpus member " << i);
+    const TopologySpec spec = SampleTopologySpec(corpus, i);
+    const Topology topo = GenerateTopology(spec, TopologySeed(corpus, i));
+    ExpectGridMatchesSerial(topo.spec, topo.augmentation,
+                            CountFdBuses(spec) > 0);
   }
 }
 

@@ -53,7 +53,8 @@ class DictionaryStoreTest : public ::testing::Test {
 };
 
 TEST_F(DictionaryStoreTest, BatchIsBitIdenticalForEveryThreadCount) {
-  const std::string path = ::testing::TempDir() + "store_shard.fdict";
+  const std::string path =
+      bistdse::testing::UniqueTempPath("store_shard.fdict");
   dictionary_.Save(path);
 
   // Shard 0 owned, shard 1 mmap-backed: both paths serve under the fan-out.

@@ -114,7 +114,8 @@ TEST_F(FaultDictionaryTest, AccessorsRejectOutOfRangeFaultIndex) {
 }
 
 TEST_F(FaultDictionaryTest, SaveLoadRoundTripIsBitIdentical) {
-  const std::string path = ::testing::TempDir() + "dict_roundtrip.fdict";
+  const std::string path =
+      bistdse::testing::UniqueTempPath("dict_roundtrip.fdict");
   dictionary_.Save(path);
   const auto loaded = FaultDictionary::Load(path);
   EXPECT_FALSE(loaded.IsMapped());
@@ -136,7 +137,8 @@ TEST_F(FaultDictionaryTest, SaveLoadRoundTripIsBitIdentical) {
 }
 
 TEST_F(FaultDictionaryTest, MappedOpenIsBitIdentical) {
-  const std::string path = ::testing::TempDir() + "dict_mapped.fdict";
+  const std::string path =
+      bistdse::testing::UniqueTempPath("dict_mapped.fdict");
   dictionary_.Save(path);
   const auto mapped = FaultDictionary::Map(path);
   EXPECT_TRUE(mapped.IsMapped());
@@ -173,7 +175,8 @@ TEST_F(FaultDictionaryTest, ExtendMatchesFullRebuildFromPartialWindow) {
 }
 
 TEST_F(FaultDictionaryTest, ExtendOfMappedDictionaryMaterializesFirst) {
-  const std::string path = ::testing::TempDir() + "dict_extend.fdict";
+  const std::string path =
+      bistdse::testing::UniqueTempPath("dict_extend.fdict");
   FaultDictionary small(netlist_, DictConfig(), 192, {}, faults_);
   small.Save(path);
   auto mapped = FaultDictionary::Map(path);
@@ -205,7 +208,8 @@ TEST(FaultDictionaryIo, CorruptedAndTruncatedFilesAreRejected) {
   auto faults = sim::CollapsedFaults(nl);
   faults.resize(16);
   FaultDictionary dict(nl, DictConfig(), 64, {}, faults);
-  const std::string path = ::testing::TempDir() + "dict_corrupt.fdict";
+  const std::string path =
+      bistdse::testing::UniqueTempPath("dict_corrupt.fdict");
   dict.Save(path);
 
   const auto file_bytes = [&] {

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cctype>
 #include <string>
 
 #include "arch/topology.hpp"
@@ -114,6 +116,28 @@ inline netlist::Netlist MakeSmallRandom(std::uint64_t seed = 7,
   spec.hard_block_width = 6;
   spec.seed = seed;
   return netlist::GenerateRandomCircuit(spec);
+}
+
+/// A scratch file path under ::testing::TempDir() that belongs to the running
+/// test case of this process: "<suite>.<case>.<pid>.<suffix>". ctest runs
+/// every gtest case as a process of its own, concurrently under -j, so a
+/// fixed file name would be saved, mapped and deleted by several cases at
+/// once.
+inline std::string UniqueTempPath(const std::string& suffix) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = info == nullptr ? std::string("no_test")
+                                     : std::string(info->test_suite_name()) +
+                                           "." + info->name();
+  for (char& c : name) {
+    // Parameterized names carry '/'; keep the file inside TempDir().
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '.' &&
+        c != '_' && c != '-') {
+      c = '_';
+    }
+  }
+  return ::testing::TempDir() + name + "." + std::to_string(::getpid()) +
+         "." + suffix;
 }
 
 }  // namespace bistdse::testing

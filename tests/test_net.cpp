@@ -88,6 +88,137 @@ TEST(NetworkEngine, RejectsMalformedSlots) {
                std::invalid_argument);
 }
 
+// Semantics pins of the engine's event order: every case below holds for
+// any data-structure choice, and each one fails if arbitration, replacement,
+// mid-run registration or early stopping changes.
+
+// Releases at the same instant are handled in push order, and each one tries
+// the bus at once: on an idle bus the first-pushed frame starts even when a
+// lower id is released in the same instant.
+TEST(NetworkEngine, SameTimeReleasesOnIdleBusStartInPushOrder) {
+  EventTrace trace;
+  NetworkEngine engine(nullptr, &trace, /*trace_frames=*/true);
+  const BusIndex bus = engine.AddBus("b", 500e3);
+  engine.AddSlot(Slot(Msg(5, 8, 10), {bus}, {5}));
+  engine.AddSlot(Slot(Msg(1, 8, 10), {bus}, {1}));
+  engine.Run(9.0);
+
+  const double frame_ms = Msg(1, 8, 10).FrameTimeMs(500e3);
+  EXPECT_NEAR(engine.StatsOf(0, 0).max_response_ms, frame_ms, 1e-9);
+  EXPECT_NEAR(engine.StatsOf(1, 0).max_response_ms, 2 * frame_ms, 1e-9);
+  std::vector<can::CanId> completed;
+  for (const TraceEvent& e : trace.Events()) {
+    if (e.kind == TraceEventKind::FrameCompleted) completed.push_back(e.id);
+  }
+  EXPECT_EQ(completed, (std::vector<can::CanId>{5, 1}));
+}
+
+// A new instance on an id that is still queued replaces the queued one: the
+// frame that finally wins arbitration carries the latest release time.
+TEST(NetworkEngine, NewInstanceReplacesQueuedOne) {
+  NetworkEngine engine;
+  const BusIndex bus = engine.AddBus("slow", 10e3);
+  // A long blocker occupies the bus from t = 0 while the short slot below
+  // releases every 4 ms into the queue.
+  engine.AddSlot(Slot(Msg(1, 8, 1000), {bus}, {1}));
+  engine.AddSlot(Slot(Msg(2, 0, 4), {bus}, {2}, nullptr, 1.0));
+  const double blocker_ms = Msg(1, 8, 1000).FrameTimeMs(10e3);
+  const double short_ms = Msg(2, 0, 4).FrameTimeMs(10e3);
+  engine.Run(blocker_ms + short_ms);
+
+  const double last_release = 1.0 + 4.0 * std::floor((blocker_ms - 1.0) / 4.0);
+  ASSERT_LT(last_release, blocker_ms);
+  EXPECT_EQ(engine.StatsOf(1, 0).frames_sent, 1u);
+  EXPECT_NEAR(engine.StatsOf(1, 0).max_response_ms,
+              blocker_ms + short_ms - last_release, 1e-9);
+}
+
+// Slots registered on a running engine (as the diagnosis server registers
+// its endpoints) release at their own first release, in the engine's
+// future, and are arbitrated with the slots already running.
+TEST(NetworkEngine, AddSlotAfterRunReleasesInTheFuture) {
+  NetworkEngine engine;
+  const BusIndex bus = engine.AddBus("b", 500e3);
+  engine.AddSlot(Slot(Msg(3, 8, 10), {bus}, {3}));
+  engine.Run(25.0);
+  EXPECT_DOUBLE_EQ(engine.NowMs(), 25.0);
+  const std::size_t late =
+      engine.AddSlot(Slot(Msg(1, 8, 10), {bus}, {1}, nullptr,
+                          engine.NowMs() + 8.0));
+  engine.Run(32.0);
+  EXPECT_EQ(engine.StatsOf(late, 0).frames_sent, 0u);
+  engine.Run(49.0);
+  const double frame_ms = Msg(1, 8, 10).FrameTimeMs(500e3);
+  EXPECT_EQ(engine.StatsOf(late, 0).frames_sent, 2u);  // released 33 and 43
+  EXPECT_NEAR(engine.StatsOf(late, 0).max_response_ms, frame_ms, 1e-9);
+  EXPECT_EQ(engine.StatsOf(0, 0).frames_sent, 5u);  // 0, 10, 20, 30, 40
+}
+
+// Run(until, stop) returns at the time of the frame outcome that satisfied
+// `stop`, and a later Run resumes from there.
+TEST(NetworkEngine, RunStopsAtTheStoppingEvent) {
+  NetworkEngine engine;
+  const BusIndex bus = engine.AddBus("b", 500e3);
+  engine.AddSlot(Slot(Msg(1, 8, 10), {bus}, {1}));
+  int outcomes = 0;
+  const double stopped = engine.Run(1000.0, [&] { return ++outcomes == 3; });
+  const double frame_ms = Msg(1, 8, 10).FrameTimeMs(500e3);
+  EXPECT_NEAR(stopped, 20.0 + frame_ms, 1e-9);
+  EXPECT_DOUBLE_EQ(engine.NowMs(), stopped);
+  EXPECT_EQ(engine.StatsOf(0, 0).frames_sent, 3u);
+  EXPECT_DOUBLE_EQ(engine.Run(55.0), 55.0);
+  EXPECT_EQ(engine.StatsOf(0, 0).frames_sent, 6u);
+}
+
+// Every per-slot-hop counter of a lossy two-segment run with gateway
+// forwarding and a transport client, pinned to its exact value: any change
+// to the event order, to arbitration or to the order of injector draws
+// moves at least one of them.
+TEST(NetworkEngine, SlotHopStatsArePinned) {
+  FaultInjector injector({.drop_rate = 0.05,
+                          .corrupt_rate = 0.03,
+                          .reorder_rate = 0.04,
+                          .seed = 17});
+  NetworkEngine engine(&injector);
+  engine.SetGatewayDelayMs(0.4);
+  const BusIndex b0 = engine.AddBus("b0", 125e3);
+  const BusIndex b1 = engine.AddBus("b1", 250e3);
+  SegmentedTransfer transfer(1, "t", 600, {}, nullptr);
+  engine.AddSlot(Slot(Msg(6, 8, 2.5), {b0}, {6}, &transfer, 2.5));
+  engine.AddSlot(Slot(Msg(2, 8, 5), {b0, b1}, {2, 9}));
+  engine.AddSlot(Slot(Msg(4, 3, 7), {b1, b0}, {4, 3}, nullptr, 0.5));
+  engine.AddSlot(Slot(Msg(8, 6, 3), {b0}, {8}));
+  engine.AddSlot(Slot(Msg(5, 8, 4), {b1}, {5}, nullptr, 1.0));
+  transfer.Begin(0.0);
+  engine.Run(300.0);
+
+  struct Expected {
+    std::size_t slot, hop;
+    std::uint64_t sent, dropped, corrupted, reordered;
+    double max_response_ms, total_response_ms;
+  };
+  const Expected expected[] = {
+      {0, 0, 92, 12, 5, 7, 3.2000000000001023, 190.82000000000278},
+      {1, 0, 60, 4, 3, 2, 1.8400000000000318, 76.720000000000908},
+      {1, 1, 53, 4, 1, 0, 0.99999999999994316, 30.480000000000022},
+      {2, 0, 43, 2, 2, 0, 0.86000000000001364, 17.699999999999992},
+      {2, 1, 39, 3, 0, 2, 2.6799999999999926, 53.680000000000774},
+      {3, 0, 88, 3, 1, 2, 3.8400000000000318, 176.0800000000018},
+      {4, 0, 75, 6, 0, 4, 0.92000000000007276, 41.740000000000137},
+  };
+  for (const Expected& e : expected) {
+    const SlotHopStats& s = engine.StatsOf(e.slot, e.hop);
+    SCOPED_TRACE(::testing::Message() << "slot " << e.slot << " hop " << e.hop);
+    EXPECT_EQ(s.frames_sent, e.sent);
+    EXPECT_EQ(s.frames_dropped, e.dropped);
+    EXPECT_EQ(s.frames_corrupted, e.corrupted);
+    EXPECT_EQ(s.frames_reordered, e.reordered);
+    EXPECT_DOUBLE_EQ(s.max_response_ms, e.max_response_ms);
+    EXPECT_DOUBLE_EQ(s.total_response_ms, e.total_response_ms);
+  }
+  EXPECT_TRUE(transfer.Done());
+}
+
 TEST(SegmentedTransfer, ZeroLossRateMatchesSlotGoodput) {
   NetworkEngine engine;
   const BusIndex bus = engine.AddBus("b", 500e3);

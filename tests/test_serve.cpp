@@ -38,7 +38,7 @@ class ServeTest : public ::testing::Test {
   ServeTest()
       : netlist_(bistdse::testing::MakeSmallRandom(71, 220)),
         faults_(sim::CollapsedFaults(netlist_)),
-        path_(::testing::TempDir() + "serve_shard.fdict") {
+        path_(bistdse::testing::UniqueTempPath("serve_shard.fdict")) {
     bist::FaultDictionary dictionary(netlist_, ServeStumpsConfig(), kPatterns,
                                      {}, faults_);
     dictionary.Save(path_);

@@ -110,7 +110,7 @@ int Usage() {
       "           [--min-buses N] [--max-buses N] [--fd-fraction P]\n"
       "           [--profiles K] [--data-scale X] [--evals N] [--pop N]\n"
       "           [--min-quality PCT] [--rounds N] [--max-drop P]\n"
-      "           [--max-corrupt P] [--max-reorder P]\n"
+      "           [--max-corrupt P] [--max-reorder P] [--threads K]\n"
       "           (--spec: print the sampled topology structures and stop;\n"
       "            exit 0: every campaign round upheld the PERF.md\n"
       "            invariants; 1: violation or incomplete session)\n"
@@ -135,7 +135,10 @@ int Usage() {
       "            --reload-after N triggers it after N answered requests)\n"
       "  (--block-width W: W in {1, 2, 4, 8, 16}, validated at parse time)\n"
       "  plan     --spec FILE --impl FILE [--deadline MS]\n"
-      "           [--simulate-sessions] [--frame-loss P] [--trace-out FILE]\n");
+      "           [--simulate-sessions] [--frame-loss P] [--trace-out FILE]\n"
+      "           [--threads K]\n"
+      "  (corpus / --simulate-sessions --threads K: session grid on the\n"
+      "   shared pool by default (0), 1 = serial; output is identical)\n");
   return 2;
 }
 
@@ -149,6 +152,7 @@ int SimulateSessions(const model::Specification& spec,
   net::SessionExecutorOptions options;
   options.faults.drop_rate = flags.Real("frame-loss", 0.0);
   options.faults.seed = flags.U64("seed", 1);
+  options.threads = flags.U64("threads", 0);
   net::SessionExecutor executor(spec, augmentation, options);
   net::EventTrace trace;
   const bool want_trace = flags.Has("trace-out");
@@ -328,6 +332,7 @@ int RunCorpus(const Flags& flags) {
   options.campaign.max_corrupt_rate = flags.Real("max-corrupt", 0.02);
   options.campaign.max_reorder_rate = flags.Real("max-reorder", 0.02);
   options.campaign.seed = corpus.seed;
+  options.executor.threads = flags.U64("threads", 0);
 
   const auto report = arch::SweepCorpus(corpus, options);
   std::printf("%s", arch::FormatCorpusReport(report).c_str());
