@@ -1,5 +1,6 @@
 #include "model/spec_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -55,7 +56,14 @@ ParsedSpec ParseSpec(std::istream& in) {
       double base_cost = 0, cost_per_byte = 0, bitrate = 500e3;
       if (!(ss >> name >> kind >> base_cost >> cost_per_byte))
         Fail(lineno, "resource needs: name kind base_cost cost_per_byte");
-      ss >> bitrate;  // optional
+      std::string rate;
+      if (ss >> rate) {  // optional
+        std::istringstream rs(rate);
+        if (!(rs >> bitrate) || rs.peek() != EOF)
+          Fail(lineno, "bitrate is not a number: " + rate);
+      }
+      if (!std::isfinite(bitrate) || bitrate <= 0)
+        Fail(lineno, "bitrate must be finite and > 0");
       if (resources.count(name)) Fail(lineno, "duplicate resource " + name);
       resources[name] = result.spec.Architecture().AddResource(
           {name, KindFromString(kind, lineno), base_cost, cost_per_byte,
@@ -84,6 +92,9 @@ ParsedSpec ParseSpec(std::istream& in) {
       double period = 0;
       if (!(ss >> name >> sender >> receivers >> payload >> period))
         Fail(lineno, "message needs: name sender receivers payload period");
+      if (payload > 8) Fail(lineno, "payload exceeds the 8-byte CAN frame");
+      if (!std::isfinite(period) || period <= 0)
+        Fail(lineno, "period must be finite and > 0");
       if (!tasks.count(sender)) Fail(lineno, "unknown task " + sender);
       Message m;
       m.name = name;

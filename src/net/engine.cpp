@@ -150,8 +150,8 @@ void NetworkEngine::HandleRelease(std::uint32_t slot_index) {
 void NetworkEngine::Enqueue(std::uint32_t hop_index, const FrameMeta& meta) {
   const Hop& hop = hops_[hop_index];
   auto& ready = buses_[hop.bus].ready;
-  // Overload semantics as in can::CanSimulator: a new functional instance
-  // replaces a previous one still queued on the same id.
+  // Overload semantics: a new instance replaces a previous one still queued
+  // on the same id (the controller buffer holds one frame per id).
   const PendingFrame frame{hop.id, hop_index, now_ms_, meta};
   const auto it = std::lower_bound(
       ready.begin(), ready.end(), hop.id,

@@ -9,8 +9,7 @@
 // firing — this is how the segmented transport rides the mirrored copies of
 // a shut-off ECU's functional messages without ever changing their timing.
 //
-// Unlike can::CanSimulator (single bus, closed-form critical instant), the
-// engine runs open-ended in phases, spans bus segments, and reports the
+// The engine runs open-ended in phases, spans bus segments, and reports the
 // outcome of every frame to its producer, which is what the retry path of
 // the transport layer needs.
 #pragma once

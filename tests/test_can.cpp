@@ -5,7 +5,6 @@
 
 #include "can/bus.hpp"
 #include "can/mirroring.hpp"
-#include "can/simulator.hpp"
 
 namespace bistdse::can {
 namespace {
@@ -122,69 +121,6 @@ TEST(CanBus, UnknownIdGivesNullopt) {
   EXPECT_FALSE(bus.ResponseTime(42).has_value());
 }
 
-// Property: the analytical WCRT bound dominates every simulated response
-// time, and the bound is tight for the synchronous release case of the
-// highest-priority messages.
-TEST(CanSimulator, AnalysisBoundsSimulation) {
-  CanBus bus("b", 500e3);
-  bus.AddMessage(Msg(1, 2, 5));
-  bus.AddMessage(Msg(2, 8, 10));
-  bus.AddMessage(Msg(3, 4, 10));
-  bus.AddMessage(Msg(4, 8, 20));
-  bus.AddMessage(Msg(5, 1, 50));
-  ASSERT_TRUE(bus.Schedulable());
-
-  CanSimulator simulator(bus);
-  const auto sim = simulator.Run(5000.0);
-  for (const auto& [key, stats] : sim.per_message) {
-    ASSERT_GT(stats.frames_sent, 0u);
-    const auto bound = bus.ResponseTime(key.id);
-    ASSERT_TRUE(bound.has_value());
-    EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9)
-        << "id " << key.id;
-  }
-  EXPECT_GT(sim.Utilization(), 0.0);
-  EXPECT_LE(sim.Utilization(), 1.0 + 1e-9);
-}
-
-TEST(CanSimulator, StaggeredOffsetsReduceResponses) {
-  CanBus bus("b", 500e3);
-  bus.AddMessage(Msg(1, 8, 2));
-  bus.AddMessage(Msg(2, 8, 2));
-  bus.AddMessage(Msg(3, 8, 2));
-  CanSimulator simulator(bus);
-  const auto sync = simulator.Run(1000.0);
-  const auto staggered =
-      simulator.Run(1000.0, {{1, 0.0}, {2, 0.6}, {3, 1.2}});
-  EXPECT_LE(staggered.Of(3).max_response_ms, sync.Of(3).max_response_ms);
-}
-
-// Regression: stats used to be keyed by CAN id alone, so merging the results
-// of two segments silently fused messages that reuse an id (gateways re-map
-// ids per bus, making reuse the common case, not the exception).
-TEST(CanSimulator, StatsKeyedByBusAndId) {
-  CanBus body("body", 500e3);
-  body.AddMessage(Msg(1, 8, 10, "speed"));
-  CanBus chassis("chassis", 500e3);
-  chassis.AddMessage(Msg(1, 2, 5, "brake"));  // same id, different message
-
-  auto merged = CanSimulator(body).Run(1000.0);
-  merged.Merge(CanSimulator(chassis).Run(1000.0));
-
-  ASSERT_EQ(merged.per_message.size(), 2u);
-  const auto& body_stats = merged.per_message.at({"body", 1});
-  const auto& chassis_stats = merged.per_message.at({"chassis", 1});
-  EXPECT_EQ(body_stats.frames_sent, 100u);
-  EXPECT_EQ(chassis_stats.frames_sent, 200u);
-  EXPECT_NE(body_stats.max_response_ms, chassis_stats.max_response_ms);
-
-  // The id-only accessor refuses to guess between the two buses...
-  EXPECT_THROW(merged.Of(1), std::logic_error);
-  // ...and merging the same segment twice is a hard error, not a clobber.
-  EXPECT_THROW(merged.Merge(CanSimulator(body).Run(1.0)), std::logic_error);
-  EXPECT_THROW(merged.Of(999), std::out_of_range);
-}
-
 TEST(Mirroring, Eq1TransferTime) {
   // Paper Eq. (1): q = s(b^D) / sum s(c)/p(c).
   std::vector<CanMessage> functional = {Msg(10, 8, 10), Msg(20, 4, 20)};
@@ -257,59 +193,6 @@ TEST(Mirroring, BurstFasterButIntrusive) {
   const std::uint64_t bytes = 100000;
   const auto burst = MakeBurstTransfer(bytes, 100, 500e3);
   EXPECT_LT(burst.wire_time_ms, MirroredTransferTimeMs(bytes, functional));
-}
-
-TEST(Mirroring, PlannedOffsetsReduceObservedResponses) {
-  CanBus bus("b", 500e3);
-  bus.AddMessage(Msg(1, 8, 2));
-  bus.AddMessage(Msg(2, 8, 2));
-  bus.AddMessage(Msg(3, 8, 2));
-  bus.AddMessage(Msg(4, 8, 4));
-  CanSimulator simulator(bus);
-  const auto sync = simulator.Run(2000.0);
-  const auto offsets = PlanReleaseOffsets(bus);
-  const auto planned = simulator.Run(2000.0, offsets);
-  // The lowest-priority message benefits most from de-phasing.
-  EXPECT_LT(planned.Of(4).max_response_ms, sync.Of(4).max_response_ms);
-  // Offsets never violate the analytical bounds.
-  for (const auto& [key, stats] : planned.per_message) {
-    const auto bound = bus.ResponseTime(key.id);
-    ASSERT_TRUE(bound.has_value());
-    EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9);
-  }
-}
-
-// Simulation-level validation of §III-B: swapping an ECU's functional
-// messages for their mirrors leaves every other message's observed response
-// times bit-identical, while a burst shifts them.
-TEST(Mirroring, SimulationConfirmsTimingTransparency) {
-  CanBus base("body", 500e3);
-  std::vector<CanMessage> ecu = {Msg(16, 4, 5, "e1"), Msg(48, 2, 10, "e2")};
-  base.AddMessage(Msg(0, 2, 5));
-  base.AddMessage(ecu[0]);
-  base.AddMessage(Msg(32, 4, 10));
-  base.AddMessage(ecu[1]);
-  base.AddMessage(Msg(64, 2, 20));
-
-  CanBus swapped("body'", 500e3);
-  const auto mirrored = MakeMirroredMessages(ecu, 1);
-  for (const CanMessage& m : base.Messages()) {
-    if (m.id == 16 || m.id == 48) continue;
-    swapped.AddMessage(m);
-  }
-  for (const CanMessage& m : mirrored) swapped.AddMessage(m);
-
-  CanSimulator sim_base(base), sim_swapped(swapped);
-  const auto rb = sim_base.Run(2000.0);
-  const auto rs = sim_swapped.Run(2000.0);
-  for (CanId id : {0u, 32u, 64u}) {
-    EXPECT_DOUBLE_EQ(rs.Of(id).max_response_ms, rb.Of(id).max_response_ms)
-        << "id " << id;
-    EXPECT_EQ(rs.Of(id).frames_sent, rb.Of(id).frames_sent);
-  }
-  // The mirrors themselves observe the same timing as the originals.
-  EXPECT_DOUBLE_EQ(rs.Of(17).max_response_ms, rb.Of(16).max_response_ms);
-  EXPECT_DOUBLE_EQ(rs.Of(49).max_response_ms, rb.Of(48).max_response_ms);
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
-// Parameterized property sweeps across seeds and sizes (TEST_P).
+// Parameterized property sweeps across seeds and sizes (TEST_P), and the CAN
+// timing cases simulated on a one-bus network engine.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <ostream>
+#include <set>
 
 #include "atpg/podem.hpp"
 #include "atpg/tpg.hpp"
-#include <set>
-
 #include "bist/reseeding.hpp"
 #include "can/mirroring.hpp"
-#include "can/simulator.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
 #include "model/implementation.hpp"
+#include "net/engine.hpp"
 #include "netlist/random_circuit.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/pattern_set.hpp"
@@ -102,37 +106,201 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4, 16, 48)));
 
 // ---------------------------------------------------------------------------
-// Property: analytical CAN WCRT bounds dominate simulation for random
-// schedulable message sets.
-class CanBoundProperty : public ::testing::TestWithParam<std::uint64_t> {};
+// CAN timing properties, simulated on a one-bus net::NetworkEngine.
 
-TEST_P(CanBoundProperty, AnalysisDominatesSimulation) {
-  util::SplitMix64 rng(GetParam());
+can::CanMessage Msg(can::CanId id, std::uint32_t bytes, double period_ms,
+                    const std::string& name = {}) {
+  can::CanMessage m;
+  m.id = id;
+  m.payload_bytes = bytes;
+  m.period_ms = period_ms;
+  m.name = name.empty() ? "m" + std::to_string(id) : name;
+  return m;
+}
+
+/// 4-11 messages on sparse ids (room for a +1 mirror), random payloads and
+/// periods. Not necessarily schedulable.
+can::CanBus RandomBus(util::SplitMix64& rng) {
   can::CanBus bus("b", 500e3);
   const int n = 4 + static_cast<int>(rng.Below(8));
   for (int i = 0; i < n; ++i) {
-    can::CanMessage m;
-    m.id = static_cast<can::CanId>(i * 8);
-    m.payload_bytes = static_cast<std::uint32_t>(1 + rng.Below(8));
+    const auto bytes = static_cast<std::uint32_t>(1 + rng.Below(8));
     const double periods[] = {5, 10, 20, 50, 100};
-    m.period_ms = periods[rng.Below(5)];
-    m.name = "m" + std::to_string(i);
-    bus.AddMessage(m);
+    bus.AddMessage(Msg(static_cast<can::CanId>(i * 8), bytes,
+                       periods[rng.Below(5)], "m" + std::to_string(i)));
   }
-  if (!bus.Schedulable()) GTEST_SKIP() << "random set unschedulable";
+  return bus;
+}
 
-  can::CanSimulator simulator(bus);
-  const auto sim_result = simulator.Run(2000.0);
-  for (const auto& [key, stats] : sim_result.per_message) {
-    const auto bound = bus.ResponseTime(key.id);
+/// Order in which RunOneBus registers the slots. The engine starts
+/// same-instant releases on an idle bus in push order, so descending ids
+/// let lower-priority frames win the critical instant.
+enum class SlotOrder { AscendingId, DescendingId };
+
+struct OneBusRun {
+  std::map<can::CanId, net::SlotHopStats> per_id;
+  double busy_ms = 0.0;
+};
+
+/// Simulates `bus` for `duration_ms` on a one-bus engine, one functional
+/// slot per message. Every message is first released at t = 0 (the
+/// critical instant) unless `offsets_ms` gives its phase.
+OneBusRun RunOneBus(const can::CanBus& bus, double duration_ms,
+                    const std::map<can::CanId, double>& offsets_ms = {},
+                    SlotOrder order = SlotOrder::AscendingId) {
+  std::vector<can::CanMessage> messages = bus.Messages();  // ascending id
+  if (order == SlotOrder::DescendingId) {
+    std::reverse(messages.begin(), messages.end());
+  }
+  net::NetworkEngine engine;
+  const net::BusIndex b = engine.AddBus(bus.Name(), bus.BitrateBps());
+  for (const can::CanMessage& m : messages) {
+    net::PeriodicSlot slot;
+    slot.message = m;
+    slot.path = {b};
+    slot.hop_ids = {m.id};
+    if (const auto it = offsets_ms.find(m.id); it != offsets_ms.end()) {
+      slot.first_release_ms = it->second;
+    }
+    engine.AddSlot(slot);
+  }
+  engine.Run(duration_ms);
+  OneBusRun run;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    run.per_id[messages[i].id] = engine.StatsOf(i, 0);
+  }
+  run.busy_ms = engine.BusBusyMs(b);
+  return run;
+}
+
+TEST(OneBusEngine, AnalysisBoundsSimulation) {
+  can::CanBus bus("b", 500e3);
+  bus.AddMessage(Msg(1, 2, 5));
+  bus.AddMessage(Msg(2, 8, 10));
+  bus.AddMessage(Msg(3, 4, 10));
+  bus.AddMessage(Msg(4, 8, 20));
+  bus.AddMessage(Msg(5, 1, 50));
+  ASSERT_TRUE(bus.Schedulable());
+
+  const auto run = RunOneBus(bus, 5000.0);
+  for (const auto& [id, stats] : run.per_id) {
+    ASSERT_GT(stats.frames_sent, 0u);
+    const auto bound = bus.ResponseTime(id);
     ASSERT_TRUE(bound.has_value());
     EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9)
-        << "id " << key.id << " seed " << GetParam();
+        << "id " << id;
+  }
+  const double utilization = run.busy_ms / 5000.0;
+  EXPECT_GT(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0 + 1e-9);
+}
+
+TEST(OneBusEngine, StaggeredOffsetsReduceResponses) {
+  can::CanBus bus("b", 500e3);
+  bus.AddMessage(Msg(1, 8, 2));
+  bus.AddMessage(Msg(2, 8, 2));
+  bus.AddMessage(Msg(3, 8, 2));
+  const auto sync = RunOneBus(bus, 1000.0);
+  const auto staggered =
+      RunOneBus(bus, 1000.0, {{1, 0.0}, {2, 0.6}, {3, 1.2}});
+  EXPECT_LE(staggered.per_id.at(3).max_response_ms,
+            sync.per_id.at(3).max_response_ms);
+}
+
+TEST(Mirroring, PlannedOffsetsReduceObservedResponses) {
+  can::CanBus bus("b", 500e3);
+  bus.AddMessage(Msg(1, 8, 2));
+  bus.AddMessage(Msg(2, 8, 2));
+  bus.AddMessage(Msg(3, 8, 2));
+  bus.AddMessage(Msg(4, 8, 4));
+  const auto sync = RunOneBus(bus, 2000.0);
+  const auto planned = RunOneBus(bus, 2000.0, can::PlanReleaseOffsets(bus));
+  // The lowest-priority message benefits most from de-phasing.
+  EXPECT_LT(planned.per_id.at(4).max_response_ms,
+            sync.per_id.at(4).max_response_ms);
+  // Offsets never violate the analytical bounds.
+  for (const auto& [id, stats] : planned.per_id) {
+    const auto bound = bus.ResponseTime(id);
+    ASSERT_TRUE(bound.has_value());
+    EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9);
+  }
+}
+
+// Simulation-level validation of §III-B: swapping an ECU's functional
+// messages for their mirrors leaves every other message's observed response
+// times bit-identical.
+TEST(Mirroring, SimulationConfirmsTimingTransparency) {
+  can::CanBus base("body", 500e3);
+  std::vector<can::CanMessage> ecu = {Msg(16, 4, 5, "e1"),
+                                      Msg(48, 2, 10, "e2")};
+  base.AddMessage(Msg(0, 2, 5));
+  base.AddMessage(ecu[0]);
+  base.AddMessage(Msg(32, 4, 10));
+  base.AddMessage(ecu[1]);
+  base.AddMessage(Msg(64, 2, 20));
+
+  can::CanBus swapped("body'", 500e3);
+  for (const can::CanMessage& m : base.Messages()) {
+    if (m.id == 16 || m.id == 48) continue;
+    swapped.AddMessage(m);
+  }
+  for (const can::CanMessage& m : can::MakeMirroredMessages(ecu, 1)) {
+    swapped.AddMessage(m);
+  }
+
+  const auto rb = RunOneBus(base, 2000.0);
+  const auto rs = RunOneBus(swapped, 2000.0);
+  for (can::CanId id : {0u, 32u, 64u}) {
+    EXPECT_DOUBLE_EQ(rs.per_id.at(id).max_response_ms,
+                     rb.per_id.at(id).max_response_ms)
+        << "id " << id;
+    EXPECT_EQ(rs.per_id.at(id).frames_sent, rb.per_id.at(id).frames_sent);
+  }
+  // The mirrors themselves observe the same timing as the originals.
+  EXPECT_DOUBLE_EQ(rs.per_id.at(17).max_response_ms,
+                   rb.per_id.at(16).max_response_ms);
+  EXPECT_DOUBLE_EQ(rs.per_id.at(49).max_response_ms,
+                   rb.per_id.at(48).max_response_ms);
+}
+
+// Property: analytical CAN WCRT bounds dominate simulation for random
+// schedulable message sets, whichever order the slots are registered in.
+struct SeedAndOrder {
+  std::uint64_t seed;
+  SlotOrder order;
+};
+
+// Prints the seed alone; the instantiation name carries the order.
+void PrintTo(const SeedAndOrder& p, std::ostream* os) { *os << p.seed; }
+
+std::vector<SeedAndOrder> SeedsWith(SlotOrder order) {
+  std::vector<SeedAndOrder> cases;
+  for (std::uint64_t seed = 1; seed < 13; ++seed) cases.push_back({seed, order});
+  return cases;
+}
+
+class CanBoundProperty : public ::testing::TestWithParam<SeedAndOrder> {};
+
+TEST_P(CanBoundProperty, AnalysisDominatesSimulation) {
+  const auto [seed, order] = GetParam();
+  util::SplitMix64 rng(seed);
+  const can::CanBus bus = RandomBus(rng);
+  if (!bus.Schedulable()) GTEST_SKIP() << "random set unschedulable";
+
+  const auto run = RunOneBus(bus, 2000.0, {}, order);
+  for (const auto& [id, stats] : run.per_id) {
+    const auto bound = bus.ResponseTime(id);
+    ASSERT_TRUE(bound.has_value());
+    EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9)
+        << "id " << id << " seed " << seed;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CanBoundProperty,
-                         ::testing::Range<std::uint64_t>(1, 13));
+                         ::testing::ValuesIn(SeedsWith(SlotOrder::AscendingId)));
+INSTANTIATE_TEST_SUITE_P(
+    DescendingIdSlots, CanBoundProperty,
+    ::testing::ValuesIn(SeedsWith(SlotOrder::DescendingId)));
 
 // ---------------------------------------------------------------------------
 // Property (paper §III-B): on random schedulable buses, swapping one ECU's
@@ -144,17 +312,7 @@ class MirroredSwapProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MirroredSwapProperty, MirroringIsInvisibleAndBounded) {
   util::SplitMix64 rng(GetParam() ^ 0x5eed);
-  can::CanBus base("b", 500e3);
-  const int n = 4 + static_cast<int>(rng.Below(8));
-  for (int i = 0; i < n; ++i) {
-    can::CanMessage m;
-    m.id = static_cast<can::CanId>(i * 8);  // sparse: room for the +1 mirror
-    m.payload_bytes = static_cast<std::uint32_t>(1 + rng.Below(8));
-    const double periods[] = {5, 10, 20, 50, 100};
-    m.period_ms = periods[rng.Below(5)];
-    m.name = "m" + std::to_string(i);
-    base.AddMessage(m);
-  }
+  const can::CanBus base = RandomBus(rng);
   if (!base.Schedulable()) GTEST_SKIP() << "random set unschedulable";
 
   // A random non-empty strict subset plays the shut-off ECU's TX set.
@@ -171,30 +329,30 @@ TEST_P(MirroredSwapProperty, MirroringIsInvisibleAndBounded) {
   const auto mirrored = can::MakeMirroredMessages(ecu, 1);
   for (const can::CanMessage& m : mirrored) swapped.AddMessage(m);
 
-  const auto rb = can::CanSimulator(base).Run(2000.0);
-  const auto rs = can::CanSimulator(swapped).Run(2000.0);
+  const auto rb = RunOneBus(base, 2000.0);
+  const auto rs = RunOneBus(swapped, 2000.0);
 
   // (1) Analysis still dominates simulation on the swapped bus.
-  for (const auto& [key, stats] : rs.per_message) {
-    const auto bound = swapped.ResponseTime(key.id);
-    ASSERT_TRUE(bound.has_value()) << "id " << key.id;
+  for (const auto& [id, stats] : rs.per_id) {
+    const auto bound = swapped.ResponseTime(id);
+    ASSERT_TRUE(bound.has_value()) << "id " << id;
     EXPECT_LE(stats.max_response_ms, bound->worst_case_ms + 1e-9)
-        << "id " << key.id << " seed " << GetParam();
+        << "id " << id << " seed " << GetParam();
   }
 
   // (2) Non-swapped messages observe exactly the same worst response.
   std::set<can::CanId> swapped_ids;
   for (const can::CanMessage& m : ecu) swapped_ids.insert(m.id);
-  for (const auto& [key, stats] : rb.per_message) {
-    if (swapped_ids.count(key.id) > 0) continue;
-    EXPECT_DOUBLE_EQ(rs.Of(key.id).max_response_ms, stats.max_response_ms)
-        << "id " << key.id << " seed " << GetParam();
-    EXPECT_EQ(rs.Of(key.id).frames_sent, stats.frames_sent);
+  for (const auto& [id, stats] : rb.per_id) {
+    if (swapped_ids.count(id) > 0) continue;
+    EXPECT_DOUBLE_EQ(rs.per_id.at(id).max_response_ms, stats.max_response_ms)
+        << "id " << id << " seed " << GetParam();
+    EXPECT_EQ(rs.per_id.at(id).frames_sent, stats.frames_sent);
   }
   // And each mirror inherits its original's observed worst response.
   for (const can::CanMessage& m : ecu) {
-    EXPECT_DOUBLE_EQ(rs.Of(m.id + 1).max_response_ms,
-                     rb.Of(m.id).max_response_ms)
+    EXPECT_DOUBLE_EQ(rs.per_id.at(m.id + 1).max_response_ms,
+                     rb.per_id.at(m.id).max_response_ms)
         << "mirror of id " << m.id << " seed " << GetParam();
   }
 }

@@ -99,6 +99,15 @@ TEST(SpecIo, ReportsErrorsWithLineNumbers) {
                std::runtime_error);
   EXPECT_THROW(ParseSpecString("resource e ecu 1 0\nprofile x 1 500 99 4 100\n"),
                std::runtime_error);
+  // Out-of-range bus and message values.
+  for (const char* bad : {"resource b bus 1 0 -500000\n",
+                          "resource b bus 1 0 0\n",
+                          "resource b bus 1 0 fast\n",
+                          "task t\ntask u\nmessage m t u 4 0\n",
+                          "task t\ntask u\nmessage m t u 4 -10\n",
+                          "task t\ntask u\nmessage m t u 200 10\n"}) {
+    EXPECT_THROW(ParseSpecString(bad), std::runtime_error) << bad;
+  }
   try {
     ParseSpecString("resource gw gateway 1 0\nbogus\n");
     FAIL() << "expected throw";

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <string>
@@ -848,7 +849,7 @@ int RunPlan(const Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "dict") return RunDict(argc, argv);
@@ -860,4 +861,8 @@ int main(int argc, char** argv) {
   if (command == "stumps") return RunStumps(flags);
   if (command == "plan") return RunPlan(flags);
   return Usage();
+} catch (const std::exception& e) {
+  // Malformed inputs (.spec/.impl files, dictionaries) end here.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }
