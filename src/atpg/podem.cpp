@@ -43,36 +43,91 @@ Value3 EvalGate3(GateType type, std::span<const Value3> fanins) {
 Podem::Podem(const Netlist& netlist, std::uint32_t backtrack_limit)
     : netlist_(netlist),
       backtrack_limit_(backtrack_limit),
-      input_index_of_(netlist.NodeCount(), static_cast<std::uint32_t>(-1)) {
+      input_index_of_(netlist.NodeCount(), static_cast<std::uint32_t>(-1)),
+      is_output_(netlist.NodeCount(), 0),
+      visited_(netlist.NodeCount(), 0) {
   if (!netlist.IsFinalized())
     throw std::invalid_argument("netlist must be finalized");
   const auto inputs = netlist.CoreInputs();
   for (std::size_t i = 0; i < inputs.size(); ++i)
     input_index_of_[inputs[i]] = static_cast<std::uint32_t>(i);
+  for (NodeId id : netlist.CoreOutputs()) is_output_[id] = 1;
 }
 
-std::pair<Value3, Value3> Podem::EvaluateNode(netlist::NodeId id) const {
-  const auto fanins = netlist_.FaninsOf(id);
-  std::vector<Value3> gvals, fvals;
-  gvals.reserve(fanins.size());
-  fvals.reserve(fanins.size());
-  for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
-    gvals.push_back(good_[fanins[pin]]);
-    Value3 fv = faulty_[fanins[pin]];
-    if (id == fault_.node && static_cast<int>(pin) == fault_.fanin_index) {
-      fv = FromBool(fault_.stuck_value);
-    }
-    fvals.push_back(fv);
+std::pair<Value3, Value3> Podem::EvaluateNode(netlist::NodeId id) {
+  const GateType type = netlist_.TypeOf(id);
+  good_in_.clear();
+  faulty_in_.clear();
+  for (NodeId f : netlist_.FaninsOf(id)) {
+    good_in_.push_back(good_[f]);
+    faulty_in_.push_back(faulty_[f]);
   }
-  Value3 g = EvalGate3(netlist_.TypeOf(id), gvals);
-  Value3 f = EvalGate3(netlist_.TypeOf(id), fvals);
-  if (id == fault_.node && fault_.IsStem()) f = FromBool(fault_.stuck_value);
-  return {g, f};
+  const Value3 g = EvalGate3(type, good_in_);
+  if (id == fault_.node) {
+    if (fault_.IsStem()) return {g, FromBool(fault_.stuck_value)};
+    faulty_in_[fault_.fanin_index] = FromBool(fault_.stuck_value);
+  }
+  return {g, EvalGate3(type, faulty_in_)};
+}
+
+void Podem::NextStamp() {
+  if (++stamp_ == 0) {  // wrapped: no visit may carry the new stamp
+    std::fill(visited_.begin(), visited_.end(), 0);
+    stamp_ = 1;
+  }
+}
+
+void Podem::BuildCone() {
+  cone_.clear();
+  cone_outputs_.clear();
+  cone_gates_begin_ = 0;
+  // A flop D-branch fault never reaches a gate's faulty plane: it is
+  // observed at the flop's PPO slot (see Detected/Objective).
+  if (!fault_.IsStem() && netlist_.TypeOf(fault_.node) == GateType::Dff)
+    return;
+  // Mark the cone breadth-first, then list it in TopologicalOrder() order
+  // (sources are not in that order: a source site goes first).
+  NextStamp();
+  stack_.assign(1, fault_.node);
+  visited_[fault_.node] = stamp_;
+  for (std::size_t i = 0; i < stack_.size(); ++i) {
+    for (NodeId out : netlist_.FanoutsOf(stack_[i])) {
+      if (netlist_.TypeOf(out) == GateType::Dff) continue;
+      if (visited_[out] == stamp_) continue;
+      visited_[out] = stamp_;
+      stack_.push_back(out);
+    }
+  }
+  const GateType site_type = netlist_.TypeOf(fault_.node);
+  if (site_type == GateType::Input || site_type == GateType::Dff) {
+    cone_.push_back(fault_.node);
+    cone_gates_begin_ = 1;
+  }
+  for (NodeId id : netlist_.TopologicalOrder()) {
+    if (visited_[id] == stamp_) cone_.push_back(id);
+  }
+  for (NodeId id : cone_) {
+    if (is_output_[id]) cone_outputs_.push_back(id);
+  }
+}
+
+void Podem::InitPlanes() {
+  // No gate type has a constant output, so with every input X the whole
+  // fault-free plane is X; the faulty plane differs only inside the cone.
+  good_.assign(netlist_.NodeCount(), Value3::X);
+  faulty_.assign(netlist_.NodeCount(), Value3::X);
+  if (cone_gates_begin_ == 1) {
+    faulty_[fault_.node] = FromBool(fault_.stuck_value);
+  }
+  for (std::size_t i = cone_gates_begin_; i < cone_.size(); ++i) {
+    faulty_[cone_[i]] = EvaluateNode(cone_[i]).second;
+  }
 }
 
 void Podem::AssignAndPropagate(std::uint32_t input_index, Value3 value) {
   assignment_[input_index] = value;
   const netlist::NodeId input = netlist_.CoreInputs()[input_index];
+  trail_.push_back({input, good_[input], faulty_[input]});
   good_[input] = value;
   faulty_[input] = (fault_.IsStem() && input == fault_.node)
                        ? FromBool(fault_.stuck_value)
@@ -105,6 +160,7 @@ void Podem::AssignAndPropagate(std::uint32_t input_index, Value3 value) {
       in_queue_[id] = 0;
       const auto [g, f] = EvaluateNode(id);
       if (g == good_[id] && f == faulty_[id]) continue;
+      trail_.push_back({id, good_[id], faulty_[id]});
       good_[id] = g;
       faulty_[id] = f;
       enqueue_fanouts(id);
@@ -113,38 +169,13 @@ void Podem::AssignAndPropagate(std::uint32_t input_index, Value3 value) {
   }
 }
 
-void Podem::SimulateBothPlanes() {
-  const auto inputs = netlist_.CoreInputs();
-  good_.assign(netlist_.NodeCount(), Value3::X);
-  faulty_.assign(netlist_.NodeCount(), Value3::X);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    good_[inputs[i]] = assignment_[i];
-    faulty_[inputs[i]] = assignment_[i];
+void Podem::UndoTo(std::size_t mark) {
+  while (trail_.size() > mark) {
+    const TrailEntry& e = trail_.back();
+    good_[e.node] = e.good;
+    faulty_[e.node] = e.faulty;
+    trail_.pop_back();
   }
-
-  // Inject stem faults at source nodes directly.
-  if (fault_.IsStem()) faulty_[fault_.node] = FromBool(fault_.stuck_value);
-
-  std::vector<Value3> vals;
-  for (NodeId id : netlist_.TopologicalOrder()) {
-    const auto fanins = netlist_.FaninsOf(id);
-    vals.clear();
-    for (NodeId f : fanins) vals.push_back(good_[f]);
-    good_[id] = EvalGate3(netlist_.TypeOf(id), vals);
-
-    vals.clear();
-    for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
-      Value3 v = faulty_[fanins[pin]];
-      if (id == fault_.node && static_cast<int>(pin) == fault_.fanin_index)
-        v = FromBool(fault_.stuck_value);
-      vals.push_back(v);
-    }
-    Value3 fv = EvalGate3(netlist_.TypeOf(id), vals);
-    if (id == fault_.node && fault_.IsStem()) fv = FromBool(fault_.stuck_value);
-    faulty_[id] = fv;
-  }
-  // Re-force stems on source nodes (Input/Dff) that the loop above skipped.
-  if (fault_.IsStem()) faulty_[fault_.node] = FromBool(fault_.stuck_value);
 }
 
 bool Podem::Detected() const {
@@ -153,7 +184,7 @@ bool Podem::Detected() const {
     const Value3 g = good_[netlist_.FaninsOf(fault_.node)[0]];
     return g != Value3::X && g != FromBool(fault_.stuck_value);
   }
-  for (NodeId id : netlist_.CoreOutputs()) {
+  for (NodeId id : cone_outputs_) {
     if (good_[id] != Value3::X && faulty_[id] != Value3::X &&
         good_[id] != faulty_[id]) {
       return true;
@@ -162,7 +193,7 @@ bool Podem::Detected() const {
   return false;
 }
 
-std::optional<std::pair<NodeId, Value3>> Podem::Objective() {
+std::optional<std::pair<NodeId, Value3>> Podem::Objective() const {
   // Flop D-branch: single objective — drive the D net to the opposite value.
   if (!fault_.IsStem() && netlist_.TypeOf(fault_.node) == GateType::Dff) {
     const NodeId driver = netlist_.FaninsOf(fault_.node)[0];
@@ -179,11 +210,13 @@ std::optional<std::pair<NodeId, Value3>> Podem::Objective() {
   if (good_[site_net] == Value3::X) return std::make_pair(site_net, want);
   if (good_[site_net] != want) return std::nullopt;  // unactivatable here
 
-  // Propagation: pick a D-frontier gate and set one of its X inputs to the
-  // non-controlling value. For a branch fault the site gate itself is in the
-  // frontier: its faulted pin carries D by the forced value, even though the
-  // driver net's planes agree.
-  for (NodeId id : netlist_.TopologicalOrder()) {
+  // Propagation: pick the first D-frontier gate in topological order and set
+  // one of its X inputs to the non-controlling value. For a branch fault the
+  // site gate itself is in the frontier: its faulted pin carries D by the
+  // forced value, even though the driver net's planes agree. Every frontier
+  // gate has a D input or is the site, so it lies in the cone.
+  for (std::size_t i = cone_gates_begin_; i < cone_.size(); ++i) {
+    const NodeId id = cone_[i];
     if (good_[id] != Value3::X && faulty_[id] != Value3::X) continue;
     bool has_d_input = false;
     if (id == fault_.node && !fault_.IsStem()) {
@@ -257,21 +290,20 @@ std::optional<std::pair<std::uint32_t, Value3>> Podem::Backtrace(
   }
 }
 
-bool Podem::XPathExists() const {
+bool Podem::XPathExists() {
   // A fault effect can still reach an observation point if some node that
   // carries D (planes differ) or X faulty value has a forward path of
-  // X-valued nodes to a core output. Conservative check: BFS from D-carrying
-  // nodes through X nodes.
-  std::vector<std::uint8_t> carries_d(netlist_.NodeCount(), 0);
-  std::vector<NodeId> frontier;
-  for (NodeId id = 0; id < netlist_.NodeCount(); ++id) {
+  // X-valued nodes to a core output. Conservative check: DFS from
+  // D-carrying nodes (all inside the cone) through X nodes; the answer is
+  // plain reachability, whatever order the search takes.
+  stack_.clear();
+  for (NodeId id : cone_) {
     if (good_[id] != Value3::X && faulty_[id] != Value3::X &&
         good_[id] != faulty_[id]) {
-      carries_d[id] = 1;
-      frontier.push_back(id);
+      stack_.push_back(id);
     }
   }
-  if (frontier.empty()) {
+  if (stack_.empty()) {
     const NodeId site_net =
         fault_.IsStem() ? fault_.node
                         : netlist_.FaninsOf(fault_.node)[fault_.fanin_index];
@@ -283,29 +315,25 @@ bool Podem::XPathExists() const {
     if (!fault_.IsStem() && netlist_.TypeOf(fault_.node) != GateType::Dff &&
         (good_[fault_.node] == Value3::X ||
          faulty_[fault_.node] == Value3::X)) {
-      carries_d[fault_.node] = 1;
-      frontier.push_back(fault_.node);
+      stack_.push_back(fault_.node);
     }
-    if (frontier.empty()) return false;
+    if (stack_.empty()) return false;
   }
 
-  std::vector<std::uint8_t> visited(netlist_.NodeCount(), 0);
-  std::vector<std::uint8_t> observed(netlist_.NodeCount(), 0);
-  for (NodeId id : netlist_.CoreOutputs()) observed[id] = 1;
-
-  while (!frontier.empty()) {
-    const NodeId id = frontier.back();
-    frontier.pop_back();
-    if (observed[id]) return true;
+  NextStamp();
+  while (!stack_.empty()) {
+    const NodeId id = stack_.back();
+    stack_.pop_back();
+    if (is_output_[id]) return true;
     for (NodeId out : netlist_.FanoutsOf(id)) {
       if (netlist_.TypeOf(out) == GateType::Dff) continue;
-      if (visited[out]) continue;
-      visited[out] = 1;
+      if (visited_[out] == stamp_) continue;
+      visited_[out] = stamp_;
       // Propagation is possible through nodes whose value is not yet fixed
       // identically in both planes.
       if (good_[out] == Value3::X || faulty_[out] == Value3::X ||
           good_[out] != faulty_[out]) {
-        frontier.push_back(out);
+        stack_.push_back(out);
       }
     }
   }
@@ -314,23 +342,29 @@ bool Podem::XPathExists() const {
 
 PodemResult Podem::Generate(const sim::StuckAtFault& fault,
                             const TestCube* hint) {
+  fault_ = fault;
+  BuildCone();
   if (hint && hint->bits.size() == netlist_.CoreInputs().size()) {
-    PodemResult hinted = GenerateImpl(fault, hint);
+    PodemResult hinted = GenerateImpl(hint);
     // A hinted Untestable is still a complete-search proof (hint decisions
     // are flippable); only an abort warrants a fresh unhinted attempt.
     if (hinted.outcome != PodemOutcome::Aborted) return hinted;
   }
-  return GenerateImpl(fault, nullptr);
+  return GenerateImpl(nullptr);
 }
 
-PodemResult Podem::GenerateImpl(const sim::StuckAtFault& fault,
-                                const TestCube* hint) {
-  fault_ = fault;
+PodemResult Podem::GenerateImpl(const TestCube* hint) {
   assignment_.assign(netlist_.CoreInputs().size(), Value3::X);
   decisions_.clear();
+  trail_.clear();
   PodemResult result;
 
-  SimulateBothPlanes();
+  InitPlanes();
+  auto decide = [this](std::uint32_t idx, Value3 value) {
+    decisions_.push_back(
+        {idx, value, false, static_cast<std::uint32_t>(trail_.size())});
+    AssignAndPropagate(idx, value);
+  };
   if (hint) {
     // Seed the hint's care bits as ordinary decisions: usually they carry
     // the region's shared activation/propagation conditions and the search
@@ -339,9 +373,7 @@ PodemResult Podem::GenerateImpl(const sim::StuckAtFault& fault,
     for (std::size_t i = 0; i < hint->bits.size(); ++i) {
       if (Detected()) break;
       if (hint->bits[i] == Value3::X || assignment_[i] != Value3::X) continue;
-      const auto idx = static_cast<std::uint32_t>(i);
-      decisions_.push_back({idx, hint->bits[i], false});
-      AssignAndPropagate(idx, hint->bits[i]);
+      decide(static_cast<std::uint32_t>(i), hint->bits[i]);
     }
   }
   for (;;) {
@@ -362,34 +394,33 @@ PodemResult Podem::GenerateImpl(const sim::StuckAtFault& fault,
       dead_end = true;
     }
 
-    if (dead_end) {
-      // Backtrack: flip the most recent unflipped decision.
-      for (;;) {
-        if (decisions_.empty()) {
-          result.outcome = PodemOutcome::Untestable;
-          return result;
-        }
-        Decision& d = decisions_.back();
-        if (!d.flipped) {
-          d.flipped = true;
-          d.value = Not3(d.value);
-          assignment_[d.input_index] = d.value;
-          ++result.backtracks;
-          break;
-        }
-        assignment_[d.input_index] = Value3::X;
-        decisions_.pop_back();
-      }
-      if (result.backtracks > backtrack_limit_) {
-        result.outcome = PodemOutcome::Aborted;
-        return result;
-      }
-      SimulateBothPlanes();  // un-refining X values needs a full recompute
+    if (!dead_end) {
+      decide(next->first, next->second);
       continue;
     }
 
-    decisions_.push_back({next->first, next->second, false});
-    AssignAndPropagate(next->first, next->second);
+    // Backtrack: undo to the most recent unflipped decision and flip it.
+    for (;;) {
+      if (decisions_.empty()) {
+        result.outcome = PodemOutcome::Untestable;
+        return result;
+      }
+      Decision& d = decisions_.back();
+      UndoTo(d.trail_mark);
+      if (!d.flipped) {
+        d.flipped = true;
+        d.value = Not3(d.value);
+        ++result.backtracks;
+        break;
+      }
+      assignment_[d.input_index] = Value3::X;
+      decisions_.pop_back();
+    }
+    if (result.backtracks > backtrack_limit_) {
+      result.outcome = PodemOutcome::Aborted;
+      return result;
+    }
+    AssignAndPropagate(decisions_.back().input_index, decisions_.back().value);
   }
 }
 

@@ -57,6 +57,40 @@ std::vector<std::uint8_t> Lfsr::Emit(std::size_t n) {
   return bits;
 }
 
+std::vector<std::uint64_t> Lfsr::SymbolicEmit(std::vector<std::uint32_t> taps,
+                                              std::size_t n) {
+  if (taps.empty()) throw std::invalid_argument("LFSR needs taps");
+  const std::uint32_t degree = *std::max_element(taps.begin(), taps.end());
+  if (degree == 0) throw std::invalid_argument("LFSR degree must be > 0");
+  taps.erase(std::remove(taps.begin(), taps.end(), degree), taps.end());
+  const std::size_t words = (degree + 63) / 64;
+
+  // Same circular layout as Step(): slot (head + i) % degree holds logical
+  // state bit i; initially slot i holds seed variable i alone.
+  std::vector<std::uint64_t> state(degree * words, 0);
+  for (std::uint32_t i = 0; i < degree; ++i) {
+    state[i * words + i / 64] = std::uint64_t{1} << (i % 64);
+  }
+  std::vector<std::uint64_t> rows(n * words);
+  std::uint32_t head = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    std::uint64_t* slot = &state[head * words];
+    std::copy(slot, slot + words, &rows[p * words]);
+    // The outgoing set stays in the vacated slot and the taps' sets are
+    // XORed onto it: the incoming feedback set.
+    for (std::uint32_t t : taps) {
+      if (t == 0) continue;
+      std::uint32_t phys = head + degree - t;
+      if (phys >= degree) phys -= degree;
+      const std::uint64_t* tap = &state[phys * words];
+      for (std::size_t w = 0; w < words; ++w) slot[w] ^= tap[w];
+    }
+    ++head;
+    if (head == degree) head = 0;
+  }
+  return rows;
+}
+
 std::vector<std::uint32_t> Lfsr::DefaultPolynomial(std::uint32_t degree) {
   // Primitive polynomials (Xilinx app-note / Alfke table excerpts).
   switch (degree) {

@@ -42,6 +42,16 @@ class Lfsr {
     return s;
   }
 
+  /// Symbolic counterpart of Emit(n) for a seed of free variables: bit i of
+  /// the seed is variable i, and each state slot holds the packed set of
+  /// variables XORed into it. Returns n rows of (degree + 63) / 64 words;
+  /// row p is the set of seed bits whose XOR the LFSR emits as output bit p
+  /// (bit i of the row is word i / 64, bit i % 64). Applies Step()'s
+  /// feedback to sets instead of bits, so for every seed the concrete stream
+  /// is the rows' XOR over the seed's one bits.
+  static std::vector<std::uint64_t> SymbolicEmit(
+      std::vector<std::uint32_t> taps, std::size_t n);
+
   /// A primitive (or at least maximal-length in practice) polynomial of the
   /// requested degree from a built-in table; degrees 8..64 plus a generic
   /// trinomial fallback for larger degrees.

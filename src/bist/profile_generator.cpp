@@ -9,6 +9,7 @@
 #include "bist/pattern_source.hpp"
 #include "sim/pattern_set.hpp"
 #include "sim/transition_fault.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bistdse::bist {
 
@@ -138,36 +139,95 @@ GeneratedProfile ProfileGenerator::GenerateOne(std::uint64_t prps,
   std::vector<StuckAtFault> undetected;
   std::size_t random_detected = 0;
   SurvivorsAt(prps, &undetected, &random_detected);
+  atpg::DeterministicTpgResult tpg;
+  const bool run_tpg = !TargetMet(random_detected, target_percent);
+  if (run_tpg) tpg = TopUp(prps, fill_seed, undetected);
 
   const std::size_t width = netlist_.CoreInputs().size();
-  ReseedingEncoder encoder(static_cast<std::uint32_t>(width));
+  const ReseedingEncoder encoder(static_cast<std::uint32_t>(width));
 
   GeneratedProfile out;
-  out.profile =
-      GenerateVariant(prps, target_percent, fill_seed, 1, undetected,
-                      random_detected, encoder, &out.encoded_patterns);
+  out.profile = GenerateVariant(prps, target_percent, 1, undetected,
+                                random_detected, run_tpg ? &tpg : nullptr,
+                                encoder, &out.encoded_patterns);
   return out;
+}
+
+bool ProfileGenerator::TargetMet(std::size_t random_detected,
+                                 double target_percent) const {
+  return 100.0 * static_cast<double>(random_detected) /
+             static_cast<double>(faults_.size()) >=
+         target_percent;
+}
+
+atpg::DeterministicTpgResult ProfileGenerator::TopUp(
+    std::uint64_t prps, std::uint64_t fill_seed,
+    const std::vector<StuckAtFault>& undetected) const {
+  DeterministicTpgOptions opts;
+  opts.seed = fill_seed * 1000003 + prps;
+  opts.backtrack_limit = config_.podem_backtrack_limit;
+  opts.reverse_compaction = true;
+  return GenerateDeterministicPatterns(netlist_, undetected, opts);
 }
 
 std::vector<BistProfile> ProfileGenerator::GenerateAll() {
   RunRandomPhase();
 
-  const std::size_t width = netlist_.CoreInputs().size();
-  ReseedingEncoder encoder(static_cast<std::uint32_t>(width));
+  // Faults surviving the random phase of each length.
+  const std::size_t counts = config_.prp_counts.size();
+  const std::size_t variants = config_.coverage_targets_percent.size();
+  std::vector<std::vector<StuckAtFault>> undetected(counts);
+  std::vector<std::size_t> random_detected(counts, 0);
+  for (std::size_t c = 0; c < counts; ++c) {
+    SurvivorsAt(config_.prp_counts[c], &undetected[c], &random_detected[c]);
+  }
 
+  // Top-up generation depends on (PRP count, fill seed) only, not on the
+  // coverage target: one task per distinct pair some variant needs. The
+  // tasks are independent, so they run on the pool, each writing its own
+  // slot. Table order hands out the largest target lists first: a longer
+  // random phase leaves a subset of the survivors of a shorter one.
+  struct Task {
+    std::size_t count;
+    std::uint64_t fill_seed;
+  };
+  std::vector<Task> tasks;
+  std::vector<std::size_t> task_of(counts * variants, SIZE_MAX);
+  for (std::size_t c = 0; c < counts; ++c) {
+    for (std::size_t v = 0; v < variants; ++v) {
+      if (TargetMet(random_detected[c], config_.coverage_targets_percent[v]))
+        continue;
+      const Task task{c, config_.fill_seeds[v]};
+      const auto it =
+          std::find_if(tasks.begin(), tasks.end(), [&](const Task& t) {
+            return t.count == task.count && t.fill_seed == task.fill_seed;
+          });
+      task_of[c * variants + v] = static_cast<std::size_t>(it - tasks.begin());
+      if (it == tasks.end()) tasks.push_back(task);
+    }
+  }
+  std::vector<atpg::DeterministicTpgResult> tpg(tasks.size());
+  util::ThreadPool::Global().ParallelFor(
+      0, tasks.size(), config_.threads == 0 ? tasks.size() : config_.threads,
+      [&](std::size_t begin, std::size_t end, std::size_t /*slot*/) {
+        for (std::size_t t = begin; t < end; ++t) {
+          tpg[t] = TopUp(config_.prp_counts[tasks[t].count],
+                         tasks[t].fill_seed, undetected[tasks[t].count]);
+        }
+      });
+
+  // Top-up sweeps, encoding and the cost model, serially in table order.
+  const std::size_t width = netlist_.CoreInputs().size();
+  const ReseedingEncoder encoder(static_cast<std::uint32_t>(width));
   std::vector<BistProfile> profiles;
   std::uint32_t number = 1;
-
-  for (std::uint64_t prps : config_.prp_counts) {
-    // Faults surviving the random phase of length `prps`.
-    std::vector<StuckAtFault> undetected;
-    std::size_t random_detected = 0;
-    SurvivorsAt(prps, &undetected, &random_detected);
-
-    for (std::size_t v = 0; v < config_.coverage_targets_percent.size(); ++v) {
+  for (std::size_t c = 0; c < counts; ++c) {
+    for (std::size_t v = 0; v < variants; ++v) {
+      const std::size_t t = task_of[c * variants + v];
       profiles.push_back(GenerateVariant(
-          prps, config_.coverage_targets_percent[v], config_.fill_seeds[v],
-          number++, undetected, random_detected, encoder, nullptr));
+          config_.prp_counts[c], config_.coverage_targets_percent[v],
+          number++, undetected[c], random_detected[c],
+          t == SIZE_MAX ? nullptr : &tpg[t], encoder, nullptr));
     }
   }
   return profiles;
@@ -212,23 +272,15 @@ class TopUpSink final : public sim::CampaignSink {
 }  // namespace
 
 BistProfile ProfileGenerator::GenerateVariant(
-    std::uint64_t prps, double target_percent, std::uint64_t fill_seed,
-    std::uint32_t number, const std::vector<StuckAtFault>& undetected,
-    std::size_t random_detected,
-    ReseedingEncoder& encoder, std::vector<EncodedPattern>* encoded_sink) {
+    std::uint64_t prps, double target_percent, std::uint32_t number,
+    const std::vector<StuckAtFault>& undetected, std::size_t random_detected,
+    const atpg::DeterministicTpgResult* topup, const ReseedingEncoder& encoder,
+    std::vector<EncodedPattern>* encoded_sink) {
   const std::size_t total = faults_.size();
   const std::size_t width = netlist_.CoreInputs().size();
-  const bool already_met = 100.0 * static_cast<double>(random_detected) /
-                               static_cast<double>(total) >=
-                           target_percent;
-
-  atpg::DeterministicTpgResult tpg;
-  if (!already_met) {
-    DeterministicTpgOptions opts;
-    opts.seed = fill_seed * 1000003 + prps;
-    opts.backtrack_limit = config_.podem_backtrack_limit;
-    opts.reverse_compaction = true;
-    tpg = GenerateDeterministicPatterns(netlist_, undetected, opts);
+  const atpg::DeterministicTpgResult none;
+  const atpg::DeterministicTpgResult& tpg = topup ? *topup : none;
+  if (topup) {
     stats_.untestable = std::max(stats_.untestable, tpg.untestable);
     stats_.aborted = std::max(stats_.aborted, tpg.aborted);
   }
@@ -238,7 +290,7 @@ BistProfile ProfileGenerator::GenerateVariant(
   // fault's gain lands on its first-detecting pattern, so the drop campaign
   // reproduces the per-pattern drop walk exactly.
   std::vector<std::size_t> gain_per_pattern(tpg.patterns.size(), 0);
-  if (!already_met && !tpg.patterns.empty()) {
+  if (!tpg.patterns.empty()) {
     sim::StoredPatternSource source(tpg.patterns);
     TopUpSink sink(gain_per_pattern, random_detected, total, target_percent);
     runner_.Run(source, sink,
@@ -246,7 +298,7 @@ BistProfile ProfileGenerator::GenerateVariant(
   }
   std::size_t covered = random_detected;
   std::size_t prefix = 0;
-  for (std::size_t p = 0; !already_met && p < tpg.patterns.size(); ++p) {
+  for (std::size_t p = 0; p < tpg.patterns.size(); ++p) {
     covered += gain_per_pattern[p];
     prefix = p + 1;
     if (100.0 * static_cast<double>(covered) / static_cast<double>(total) >=

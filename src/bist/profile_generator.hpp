@@ -41,9 +41,11 @@ struct ProfileGeneratorConfig {
   /// the cap biases long sessions only marginally.
   bool measure_transition_coverage = false;
   std::uint64_t transition_pairs_cap = 4096;
-  /// Fault-simulation parallelism for the random phase and the deterministic
-  /// top-up sweeps: 1 = serial, 0 = full width of the shared thread pool.
-  /// Results are bit-identical for every value (see docs/PERF.md).
+  /// Parallelism of the random phase and the deterministic top-up sweeps
+  /// (fault simulation), and of GenerateAll's top-up generation, which runs
+  /// the PODEM top-ups of its (PRP count, fill seed) pairs side by side:
+  /// 1 = serial, 0 = full width of the shared thread pool, K = at most K at
+  /// once. Results are bit-identical for every value (see docs/PERF.md).
   std::size_t threads = 0;
   /// Simulation block width W of the random phase: W*64 patterns per sweep
   /// (W in {1, 2, 4, 8, 16}). Composes multiplicatively with `threads`;
@@ -108,14 +110,25 @@ class ProfileGenerator {
                    std::vector<sim::StuckAtFault>* undetected,
                    std::size_t* random_detected) const;
 
-  /// One Table-I variant: PODEM top-up of `undetected`, shortest prefix to
+  /// Whether the random phase alone reaches `target_percent`.
+  bool TargetMet(std::size_t random_detected, double target_percent) const;
+
+  /// PODEM top-up of `undetected` for a random phase of length `prps` under
+  /// `fill_seed`. Reads only immutable state, so calls run concurrently.
+  atpg::DeterministicTpgResult TopUp(
+      std::uint64_t prps, std::uint64_t fill_seed,
+      const std::vector<sim::StuckAtFault>& undetected) const;
+
+  /// One Table-I variant from its top-up patterns (`topup` is null when the
+  /// random phase already meets the target): shortest prefix to
   /// `target_percent`, reseeding encoding, and the cost model. Encoded
   /// patterns of the chosen prefix go to `encoded_sink` when non-null.
   BistProfile GenerateVariant(std::uint64_t prps, double target_percent,
-                              std::uint64_t fill_seed, std::uint32_t number,
+                              std::uint32_t number,
                               const std::vector<sim::StuckAtFault>& undetected,
                               std::size_t random_detected,
-                              ReseedingEncoder& encoder,
+                              const atpg::DeterministicTpgResult* topup,
+                              const ReseedingEncoder& encoder,
                               std::vector<EncodedPattern>* encoded_sink);
 
   const netlist::Netlist& netlist_;

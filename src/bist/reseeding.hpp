@@ -7,9 +7,12 @@
 // deterministic test data" of the paper's BIST data task b^D.
 //
 // The encoder solves the GF(2) linear system relating seed bits to emitted
-// stream bits by Gaussian elimination. The stream/seed relation is obtained
-// by concrete simulation of the very Lfsr class used for expansion, so
-// encode/expand are consistent by construction.
+// stream bits by Gaussian elimination. The stream/seed relation comes from
+// one symbolic run of the LFSR per degree (Lfsr::SymbolicEmit: every state
+// slot holds the set of seed bits XORed into it), while expansion runs the
+// concrete Lfsr. That the two agree is checked, not built in: the reseeding
+// tests compare the symbolic rows with concrete unit-seed streams, the
+// concrete Lfsr being the oracle.
 #pragma once
 
 #include <cstdint>
@@ -45,19 +48,14 @@ class ReseedingEncoder {
 
   /// Encodes one cube. Returns nullopt only if the system stays unsolvable
   /// after growing the seed to `width` stages (practically impossible).
-  std::optional<EncodedPattern> Encode(const atpg::TestCube& cube);
+  std::optional<EncodedPattern> Encode(const atpg::TestCube& cube) const;
 
   /// Expands an encoded pattern to a fully specified test pattern.
   sim::BitPattern Expand(const EncodedPattern& encoded) const;
 
  private:
-  /// Emits the stream of basis seed e_i for degree L (cached per degree).
-  const std::vector<sim::BitPattern>& BasisStreams(std::uint32_t degree);
-
   std::uint32_t width_;
   std::uint32_t margin_;
-  // degree -> per-basis-bit emitted stream
-  std::vector<std::pair<std::uint32_t, std::vector<sim::BitPattern>>> cache_;
 };
 
 }  // namespace bistdse::bist

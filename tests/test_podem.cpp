@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/podem.hpp"
+#include "netlist/random_circuit.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/pattern_set.hpp"
 #include "test_helpers.hpp"
@@ -126,6 +127,67 @@ TEST(Podem, AgreesWithFaultSimOnRandomCircuits) {
     }
     // The vast majority of faults in a random circuit are testable and easy.
     EXPECT_GT(detected, untestable + aborted);
+  }
+}
+
+// FNV-1a over every PodemResult field a caller reads (outcome, backtracks,
+// cube bits) for every collapsed fault of a seeded CUT, each fault run
+// unhinted and then hinted with the previous detected fault's cube. The
+// pinned values were recorded with the original full-resimulation search, so
+// any change to the implication, backtracking, objective or D-frontier order
+// shows up here.
+std::uint64_t PodemFingerprint(const Netlist& nl, std::uint32_t limit,
+                               std::size_t* aborted, std::size_t* untestable) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  Podem podem(nl, limit);
+  auto mix_result = [&mix](const PodemResult& r) {
+    mix(static_cast<std::uint64_t>(r.outcome));
+    mix(r.backtracks);
+    mix(r.cube.bits.size());
+    for (Value3 v : r.cube.bits) mix(static_cast<std::uint64_t>(v));
+  };
+  TestCube previous;  // empty until a fault is detected: Generate ignores it
+  for (const StuckAtFault& f : CollapsedFaults(nl)) {
+    const PodemResult unhinted = podem.Generate(f);
+    mix_result(unhinted);
+    mix_result(podem.Generate(f, &previous));
+    *aborted += unhinted.outcome == PodemOutcome::Aborted;
+    *untestable += unhinted.outcome == PodemOutcome::Untestable;
+    if (unhinted.outcome == PodemOutcome::Detected) previous = unhinted.cube;
+  }
+  return h;
+}
+
+TEST(Podem, ResultsPinnedOnSeededCircuits) {
+  struct Case {
+    netlist::RandomCircuitSpec spec;
+    std::uint64_t fingerprint;
+    std::size_t aborted;
+    std::size_t untestable;
+  };
+  const Case cases[] = {
+      {{.num_inputs = 16, .num_outputs = 12, .num_flops = 40, .num_gates = 300,
+        .num_hard_blocks = 3, .hard_block_width = 10, .seed = 101},
+       0x52f41b46beafdff2ULL, 57, 7},
+      {{.num_inputs = 24, .num_outputs = 16, .num_flops = 64, .num_gates = 450,
+        .num_hard_blocks = 4, .hard_block_width = 12, .seed = 202},
+       0xa4132f49950d52e1ULL, 131, 11},
+      {{.num_inputs = 32, .num_outputs = 20, .num_flops = 96, .num_gates = 600,
+        .num_hard_blocks = 5, .hard_block_width = 14, .seed = 303},
+       0x6974c7c1c4d12a7bULL, 33, 0},
+  };
+  for (const Case& c : cases) {
+    const Netlist nl = netlist::GenerateRandomCircuit(c.spec);
+    std::size_t aborted = 0, untestable = 0;
+    const std::uint64_t fp = PodemFingerprint(nl, 100, &aborted, &untestable);
+    EXPECT_EQ(fp, c.fingerprint) << "seed " << c.spec.seed;
+    // The CUTs exercise the whole search: aborts and redundancy proofs.
+    EXPECT_EQ(aborted, c.aborted) << "seed " << c.spec.seed;
+    EXPECT_EQ(untestable, c.untestable) << "seed " << c.spec.seed;
   }
 }
 

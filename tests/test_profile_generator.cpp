@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "bist/profile_generator.hpp"
+#include "casestudy/casestudy.hpp"
 #include "test_helpers.hpp"
 
 namespace bistdse::bist {
@@ -129,6 +130,75 @@ TEST(ProfileGeneratorTransition, MeasuresTdfCoverageWhenEnabled) {
   cfg.measure_transition_coverage = false;
   ProfileGenerator g2(nl, cfg);
   EXPECT_EQ(g2.GenerateAll()[0].transition_coverage_percent, 0.0);
+}
+
+void ExpectSameProfile(const BistProfile& a, const BistProfile& b) {
+  EXPECT_EQ(a.profile_number, b.profile_number);
+  EXPECT_EQ(a.num_random_patterns, b.num_random_patterns);
+  EXPECT_EQ(a.fault_coverage_percent, b.fault_coverage_percent);
+  EXPECT_EQ(a.transition_coverage_percent, b.transition_coverage_percent);
+  EXPECT_EQ(a.runtime_ms, b.runtime_ms);
+  EXPECT_EQ(a.data_bytes, b.data_bytes);
+  EXPECT_EQ(a.num_deterministic_patterns, b.num_deterministic_patterns);
+  EXPECT_EQ(a.care_bits, b.care_bits);
+}
+
+TEST(ProfileGeneratorThreads, TablesAndPatternsBitIdentical) {
+  // Top-up generation runs one task per distinct (PRP count, fill seed) on
+  // the pool (variants 0 and 2 share one); the table, the stats and every
+  // encoded seed must not depend on the thread count.
+  auto nl = bistdse::testing::MakeSmallRandom(71, 300);
+  ProfileGeneratorConfig cfg = SmallConfig();
+  cfg.coverage_targets_percent = {100.0, 100.0, 90.0};
+  cfg.fill_seeds = {7, 19, 7};
+  cfg.threads = 1;
+  ProfileGenerator serial(nl, cfg);
+  const auto reference = serial.GenerateAll();
+  const GeneratedProfile reference_one = serial.GenerateOne(256, 100.0, 19);
+  ASSERT_EQ(reference.size(), 9u);
+  ASSERT_FALSE(reference_one.encoded_patterns.empty());
+  for (std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    cfg.threads = threads;
+    ProfileGenerator generator(nl, cfg);
+    const auto table = generator.GenerateAll();
+    ASSERT_EQ(table.size(), reference.size());
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      ExpectSameProfile(table[i], reference[i]);
+    }
+    EXPECT_EQ(generator.Stats().untestable, serial.Stats().untestable);
+    EXPECT_EQ(generator.Stats().aborted, serial.Stats().aborted);
+    const GeneratedProfile one = generator.GenerateOne(256, 100.0, 19);
+    ExpectSameProfile(one.profile, reference_one.profile);
+    EXPECT_EQ(HashEncodedPatterns(one.encoded_patterns),
+              HashEncodedPatterns(reference_one.encoded_patterns));
+  }
+}
+
+TEST(ProfileGeneratorPins, ScaledPaperCutEncodedPatterns) {
+  // The scaled paper CUT at its Table-I settings: per PRP count, the number
+  // of encoded top-up patterns and a hash of their seeds, recorded with the
+  // original full-resimulation PODEM and concrete-LFSR encoder.
+  const netlist::Netlist cut =
+      netlist::GenerateRandomCircuit(casestudy::ScaledCutSpec());
+  ProfileGeneratorConfig cfg;
+  cfg.prp_counts = {128, 512, 20000};
+  cfg.coverage_targets_percent = {100.0};
+  cfg.fill_seeds = {11};
+  cfg.stumps = casestudy::PaperStumpsConfig();
+  ProfileGenerator generator(cut, cfg);
+  const struct {
+    std::uint64_t prps;
+    std::size_t patterns;
+    std::uint64_t hash;
+  } pins[] = {{128, 175, 0xa18c47139d06db6eULL},
+              {512, 141, 0x6b4ef29b501e06f2ULL},
+              {20000, 42, 0x9234953b168102c4ULL}};
+  for (const auto& pin : pins) {
+    const GeneratedProfile one = generator.GenerateOne(pin.prps, 100.0, 11);
+    EXPECT_EQ(one.encoded_patterns.size(), pin.patterns) << pin.prps;
+    EXPECT_EQ(HashEncodedPatterns(one.encoded_patterns), pin.hash) << pin.prps;
+  }
 }
 
 TEST(ProfileTable, FormatsAllRows) {
