@@ -12,6 +12,7 @@
 #include "can/bus.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/decoder.hpp"
+#include "dse/evaluation_engine.hpp"
 #include "dse/routing_encoding.hpp"
 #include "dse/objectives.hpp"
 #include "netlist/random_circuit.hpp"
@@ -281,8 +282,93 @@ void BM_SatDecode(benchmark::State& state) {
     benchmark::DoNotOptimize(decoder.Decode(genotype));
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["solve_us"] =
+      1e6 * decoder.Stats().decode_seconds /
+      static_cast<double>(decoder.Stats().decodes);
 }
 BENCHMARK(BM_SatDecode);
+
+// The decode-side bookkeeping of one SAT decode on the case study (1707
+// genes), piece by piece: decision order, routing completion and the
+// evaluation context. BM_SatDecode's solve_us counter is Solve() alone.
+
+/// Genotypes of the case study's size. Cycling through several keeps the
+/// branch predictor from learning one comparison sequence, as in a real
+/// exploration where every genotype differs.
+const std::vector<moea::Genotype>& OrderGenotypes() {
+  static const auto genotypes = [] {
+    util::SplitMix64 rng(8);
+    std::vector<moea::Genotype> out;
+    for (int i = 0; i < 16; ++i) out.push_back(moea::RandomGenotype(1707, rng));
+    return out;
+  }();
+  return genotypes;
+}
+
+void BM_DecisionOrder(benchmark::State& state) {
+  const auto& genotypes = OrderGenotypes();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(genotypes[i++ % genotypes.size()].DecisionOrder());
+  }
+}
+BENCHMARK(BM_DecisionOrder);
+
+void BM_DecisionOrderReused(benchmark::State& state) {
+  // As a decoder runs it: one scratch across calls, so no allocation.
+  const auto& genotypes = OrderGenotypes();
+  moea::DecisionOrderScratch scratch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        genotypes[i++ % genotypes.size()].DecisionOrder(scratch).data());
+  }
+}
+BENCHMARK(BM_DecisionOrderReused);
+
+/// The case study and the implementations of 64 random genotypes of it.
+struct DecodedCaseStudy {
+  casestudy::CaseStudy cs = casestudy::BuildCaseStudy();
+  std::vector<model::Implementation> impls;
+};
+
+const DecodedCaseStudy& Decoded() {
+  static const DecodedCaseStudy decoded = [] {
+    DecodedCaseStudy d;
+    dse::SatDecoder decoder(d.cs.spec, d.cs.augmentation);
+    util::SplitMix64 rng(9);
+    for (int i = 0; i < 64; ++i) {
+      d.impls.push_back(*decoder.Decode(moea::RandomGenotypeBiased(
+          decoder.GenotypeSize(), rng.UnitReal(), rng)));
+    }
+    return d;
+  }();
+  return decoded;
+}
+
+void BM_CompleteRouting(benchmark::State& state) {
+  const DecodedCaseStudy& d = Decoded();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    model::Implementation impl;
+    impl.binding = d.impls[i++ % d.impls.size()].binding;
+    benchmark::DoNotOptimize(
+        model::CompleteRoutingAndAllocation(d.cs.spec, impl));
+  }
+}
+BENCHMARK(BM_CompleteRouting);
+
+void BM_EvaluationContext(benchmark::State& state) {
+  const DecodedCaseStudy& d = Decoded();
+  const dse::EvaluationOptions options;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const dse::EvaluationContext context(
+        d.cs.spec, d.cs.augmentation, d.impls[i++ % d.impls.size()], options);
+    benchmark::DoNotOptimize(context.programs.data());
+  }
+}
+BENCHMARK(BM_EvaluationContext);
 
 void BM_RoutedSatDecode(benchmark::State& state) {
   // The complete time-indexed routing encoding (Eqs. 2b-2g searched by the

@@ -13,6 +13,11 @@ double MirroredTransferTimeMs(std::uint64_t data_bytes,
   for (const CanMessage& c : functional) {
     bytes_per_ms += static_cast<double>(c.payload_bytes) / c.period_ms;
   }
+  return MirroredTransferTimeFromBandwidthMs(data_bytes, bytes_per_ms);
+}
+
+double MirroredTransferTimeFromBandwidthMs(std::uint64_t data_bytes,
+                                           double bytes_per_ms) {
   if (bytes_per_ms <= 0.0) return std::numeric_limits<double>::infinity();
   return static_cast<double>(data_bytes) / bytes_per_ms;
 }

@@ -25,6 +25,10 @@ namespace bistdse::can {
 /// bandwidth exists).
 double MirroredTransferTimeMs(std::uint64_t data_bytes,
                               std::span<const CanMessage> functional);
+/// Eq. (1) over the summed mirrored bandwidth sum_{c in I} s(c)/p(c)
+/// [bytes/ms]; +inf when it is not positive.
+double MirroredTransferTimeFromBandwidthMs(std::uint64_t data_bytes,
+                                           double bytes_per_ms);
 
 /// Builds the mirrored message set: identical size/period/jitter, CAN id
 /// shifted by `id_offset` (caller picks an offset that keeps relative

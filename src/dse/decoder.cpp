@@ -5,6 +5,19 @@
 
 namespace bistdse::dse {
 
+void DecisionPolicy::Apply(const moea::Genotype& genotype,
+                           std::span<const sat::Var> mapping_vars,
+                           sat::Solver& solver) {
+  const auto order = genotype.DecisionOrder(order_);
+  vars_.resize(order.size());
+  phases_.resize(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    vars_[i] = mapping_vars[order[i]];
+    phases_[i] = genotype.phases[order[i]];
+  }
+  solver.SetDecisionPolicy(vars_, phases_);
+}
+
 SatDecoder::SatDecoder(const model::Specification& spec,
                        const model::BistAugmentation& augmentation,
                        bool validate_each_decode,
@@ -19,16 +32,7 @@ std::optional<model::Implementation> SatDecoder::Decode(
   if (genotype.Size() != GenotypeSize())
     throw std::invalid_argument("genotype size mismatch");
 
-  const auto order = genotype.DecisionOrder();
-  std::vector<sat::Var> var_order;
-  std::vector<std::uint8_t> phases;
-  var_order.reserve(order.size());
-  phases.reserve(order.size());
-  for (std::uint32_t gene : order) {
-    var_order.push_back(problem_.MappingVars()[gene]);
-    phases.push_back(genotype.phases[gene]);
-  }
-  problem_.SolverRef().SetDecisionPolicy(var_order, phases);
+  policy_.Apply(genotype, problem_.MappingVars(), problem_.SolverRef());
 
   const auto solve_start = std::chrono::steady_clock::now();
   const sat::SolveResult result = problem_.SolverRef().Solve();

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "dse/encoding.hpp"
 #include "moea/genotype.hpp"
@@ -29,6 +31,21 @@ struct DecoderStats {
   }
 };
 
+/// Turns a genotype into the solver's branching policy: the mapping
+/// variables in decision order with their preferred phases. Its buffers are
+/// reused, so a decoder that keeps one sets every policy after the first
+/// without allocating.
+class DecisionPolicy {
+ public:
+  void Apply(const moea::Genotype& genotype,
+             std::span<const sat::Var> mapping_vars, sat::Solver& solver);
+
+ private:
+  moea::DecisionOrderScratch order_;
+  std::vector<sat::Var> vars_;
+  std::vector<std::uint8_t> phases_;
+};
+
 class SatDecoder {
  public:
   /// `spec` and `augmentation` must outlive the decoder.
@@ -52,6 +69,7 @@ class SatDecoder {
   EncodedProblem problem_;
   bool validate_each_decode_;
   DecoderStats stats_;
+  DecisionPolicy policy_;
 };
 
 }  // namespace bistdse::dse

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -44,64 +45,67 @@ EvaluationContext::EvaluationContext(const model::Specification& spec,
   const ApplicationGraph& app = spec.Application();
   const auto& arch = spec.Architecture();
 
+  bound_at.assign(app.TaskCount(), model::kInvalidId);
   for (std::size_t m : impl.binding) {
     bound_at[spec.Mappings()[m].task] = spec.Mappings()[m].resource;
   }
 
-  for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
-    const Message& msg = app.GetMessage(c);
-    if (msg.diagnostic) continue;
-    const auto it = bound_at.find(msg.sender);
-    if (it == bound_at.end()) continue;
-    can::CanMessage cm;
-    cm.name = msg.name;
-    cm.payload_bytes = msg.payload_bytes;
-    cm.period_ms = msg.period_ms;
-    tx_messages[it->second].push_back(cm);
-  }
-
+  // Placements first; a bound test whose patterns sit on another resource
+  // downloads them, which needs its ECU's Eq.-1 bandwidth.
+  struct Bandwidth {
+    bool needed = false;
+    std::uint32_t messages = 0;
+    double bytes_per_ms = 0.0;
+  };
+  std::vector<Bandwidth> bandwidth(arch.ResourceCount());
   for (const auto& [ecu, ecu_programs] : augmentation.programs_by_ecu) {
     for (const auto& prog : ecu_programs) {
       ProgramPlacement placement;
       placement.program = &prog;
       placement.ecu = ecu;
-      const auto test_it = bound_at.find(prog.test_task);
-      placement.test_bound = test_it != bound_at.end();
-      const auto data_it = bound_at.find(prog.data_task);
-      placement.data_bound = data_it != bound_at.end();
-      if (placement.data_bound) placement.data_at = data_it->second;
-
+      placement.test_bound = bound_at[prog.test_task] != model::kInvalidId;
+      placement.data_at = bound_at[prog.data_task];
+      placement.data_bound = placement.data_at != model::kInvalidId;
       if (placement.test_bound) {
-        const Task& test = app.GetTask(prog.test_task);
-        const Task& data = app.GetTask(prog.data_task);
-        placement.session_ms = test.runtime_ms;
+        placement.session_ms = app.GetTask(prog.test_task).runtime_ms;
         if (placement.data_bound && placement.data_at != ecu) {
-          // Patterns transmitted first: Eq. (1) over the ECU's functional
-          // messages (or their CAN FD upgrades).
-          const auto tx_it = tx_messages.find(ecu);
-          const std::span<const can::CanMessage> tx =
-              tx_it == tx_messages.end()
-                  ? std::span<const can::CanMessage>{}
-                  : std::span<const can::CanMessage>(tx_it->second);
-          double transfer_ms = 0.0;
-          if (options.use_can_fd && !tx.empty()) {
-            double bytes_per_ms = 0.0;
-            for (const can::CanMessage& m : tx) {
-              bytes_per_ms +=
-                  static_cast<double>(can::RoundUpFdPayload(
-                      options.fd_payload_bytes)) /
-                  m.period_ms;
-            }
-            transfer_ms = static_cast<double>(data.data_bytes) / bytes_per_ms;
-          } else {
-            transfer_ms = can::MirroredTransferTimeMs(data.data_bytes, tx);
-          }
-          placement.transfer_ms = transfer_ms;
-          placement.session_ms += transfer_ms;
+          bandwidth[ecu].needed = true;
         }
       }
       programs.push_back(placement);
     }
+  }
+
+  // Eq. (1)'s sum over the functional messages each such ECU sends, in
+  // message-id order: s(c) / p(c), or the CAN FD payload over p(c).
+  for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
+    const Message& msg = app.GetMessage(c);
+    if (msg.diagnostic) continue;
+    const ResourceId sender_at = bound_at[msg.sender];
+    if (sender_at == model::kInvalidId || !bandwidth[sender_at].needed) {
+      continue;
+    }
+    Bandwidth& ecu = bandwidth[sender_at];
+    ++ecu.messages;
+    const std::uint32_t payload =
+        options.use_can_fd ? can::RoundUpFdPayload(options.fd_payload_bytes)
+                           : msg.payload_bytes;
+    ecu.bytes_per_ms += static_cast<double>(payload) / msg.period_ms;
+  }
+
+  for (ProgramPlacement& placement : programs) {
+    if (!placement.test_bound || !placement.data_bound ||
+        placement.data_at == placement.ecu) {
+      continue;
+    }
+    const Bandwidth& ecu = bandwidth[placement.ecu];
+    const auto data_bytes = app.GetTask(placement.program->data_task).data_bytes;
+    placement.transfer_ms =
+        options.use_can_fd && ecu.messages > 0
+            ? static_cast<double>(data_bytes) / ecu.bytes_per_ms
+            : can::MirroredTransferTimeFromBandwidthMs(data_bytes,
+                                                      ecu.bytes_per_ms);
+    placement.session_ms += placement.transfer_ms;
   }
 
   for (ResourceId r = 0; r < arch.ResourceCount(); ++r) {

@@ -28,14 +28,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "can/message.hpp"
 #include "dse/decoder.hpp"
 #include "dse/objectives.hpp"
 #include "moea/genotype.hpp"
@@ -44,8 +42,8 @@
 namespace bistdse::dse {
 
 /// Shared per-implementation intermediates, computed once and read by every
-/// stage: task placements, the functional TX message sets of Eq. (1), and
-/// the placement/transfer timing of each BIST program.
+/// stage: task placements and the placement/transfer timing of each BIST
+/// program.
 struct EvaluationContext {
   EvaluationContext(const model::Specification& spec,
                     const model::BistAugmentation& augmentation,
@@ -57,10 +55,9 @@ struct EvaluationContext {
   const model::Implementation& impl;
   const EvaluationOptions& options;
 
-  /// Resource of every bound task (one pass over the binding).
-  std::map<model::TaskId, model::ResourceId> bound_at;
-  /// Functional TX messages per ECU — the set I of Eq. (1).
-  std::map<model::ResourceId, std::vector<can::CanMessage>> tx_messages;
+  /// Resource of every task, indexed by TaskId (one pass over the binding;
+  /// a task bound twice keeps its last binding); kInvalidId when unbound.
+  std::vector<model::ResourceId> bound_at;
 
   /// Placement of one BIST program (in augmentation iteration order, which
   /// is deterministic — programs_by_ecu is an ordered map).
@@ -70,8 +67,9 @@ struct EvaluationContext {
     bool test_bound = false;
     bool data_bound = false;
     model::ResourceId data_at = model::kInvalidId;  ///< Valid if data_bound.
-    /// Eq. (1) mirrored-transfer time (or its CAN FD variant); 0 for local
-    /// storage, +inf when the ECU sends no functional payload to ride.
+    /// Eq. (1) mirrored-transfer time over the ECU's functional TX
+    /// messages, the set I (or its CAN FD variant); 0 for local storage,
+    /// +inf when the ECU sends no functional payload to ride.
     double transfer_ms = 0.0;
     /// l(b) + transfer; 0 unless the test task is bound.
     double session_ms = 0.0;

@@ -85,6 +85,7 @@ class RoutedSatDecoder {
   const model::Specification& spec_;
   RoutedEncodedProblem problem_;
   DecoderStats stats_;
+  DecisionPolicy policy_;
 };
 
 }  // namespace bistdse::dse

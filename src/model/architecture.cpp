@@ -1,7 +1,6 @@
 #include "model/architecture.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace bistdse::model {
@@ -32,29 +31,34 @@ bool ArchitectureGraph::Linked(ResourceId a, ResourceId b) const {
 std::optional<std::vector<ResourceId>> ArchitectureGraph::ShortestPath(
     ResourceId a, ResourceId b) const {
   if (a >= resources_.size() || b >= resources_.size()) return std::nullopt;
-  if (a == b) return std::vector<ResourceId>{a};
+  const std::vector<ResourceId> pred = ShortestPathTree(a);
+  if (pred[b] == kInvalidId) return std::nullopt;
+  std::vector<ResourceId> path{b};
+  for (ResourceId p = b; p != a;) {
+    p = pred[p];
+    path.push_back(p);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+std::vector<ResourceId> ArchitectureGraph::ShortestPathTree(
+    ResourceId a) const {
   std::vector<ResourceId> pred(resources_.size(), kInvalidId);
-  std::deque<ResourceId> queue{a};
+  if (a >= resources_.size()) return pred;
+  // Each resource enters the queue at most once, so a vector with a read
+  // head serves as the queue.
+  std::vector<ResourceId> queue{a};
   pred[a] = a;
-  while (!queue.empty()) {
-    const ResourceId cur = queue.front();
-    queue.pop_front();
-    for (ResourceId next : adjacency_[cur]) {  // sorted: lowest-id tie-break
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    // Adjacency lists are sorted: lowest-id tie-break.
+    for (ResourceId next : adjacency_[queue[head]]) {
       if (pred[next] != kInvalidId) continue;
-      pred[next] = cur;
-      if (next == b) {
-        std::vector<ResourceId> path{b};
-        for (ResourceId p = b; p != a;) {
-          p = pred[p];
-          path.push_back(p);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
+      pred[next] = queue[head];
       queue.push_back(next);
     }
   }
-  return std::nullopt;
+  return pred;
 }
 
 std::vector<ResourceId> ArchitectureGraph::ResourcesOfKind(

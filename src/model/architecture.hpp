@@ -38,6 +38,11 @@ class ArchitectureGraph {
   /// disconnected. Deterministic (lowest-id tie-break).
   std::optional<std::vector<ResourceId>> ShortestPath(ResourceId a,
                                                       ResourceId b) const;
+  /// The BFS tree under ShortestPath(a, ·): the predecessor of every
+  /// resource on its path from `a`, with pred[a] == a and kInvalidId where
+  /// `a` cannot reach. Walking pred back from b yields ShortestPath(a, b)
+  /// reversed.
+  std::vector<ResourceId> ShortestPathTree(ResourceId a) const;
 
   std::vector<ResourceId> ResourcesOfKind(ResourceKind kind) const;
 

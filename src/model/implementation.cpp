@@ -17,32 +17,50 @@ bool CompleteRoutingAndAllocation(const Specification& spec,
                                   Implementation& impl) {
   const ApplicationGraph& app = spec.Application();
   const ArchitectureGraph& arch = spec.Architecture();
+  const auto mappings = spec.Mappings();
+
+  // Resource of every task in one pass; the first binding of a task wins,
+  // as in Implementation::BoundResource.
+  std::vector<ResourceId> bound(app.TaskCount(), kInvalidId);
+  for (std::size_t m : impl.binding) {
+    ResourceId& at = bound[mappings[m].task];
+    if (at == kInvalidId) at = mappings[m].resource;
+  }
+  // ShortestPath trees, built once per source resource on first use.
+  std::vector<std::vector<ResourceId>> trees(arch.ResourceCount());
 
   impl.routing.clear();
+  std::vector<ResourceId> path;  // built here, stored at its exact size
   for (MessageId c = 0; c < app.MessageCount(); ++c) {
     const Message& msg = app.GetMessage(c);
-    const auto src = impl.BoundResource(spec, msg.sender);
-    if (!src) continue;  // optional sender unbound: message inactive
+    const ResourceId src = bound[msg.sender];
+    if (src == kInvalidId) continue;  // optional sender unbound: inactive
     // Route to the (first bound) receiver; all receivers must lie on the
     // path for multicast messages.
-    std::vector<ResourceId> path{*src};
+    path.assign(1, src);
     for (TaskId recv : msg.receivers) {
-      const auto dst = impl.BoundResource(spec, recv);
-      if (!dst) {
+      const ResourceId dst = bound[recv];
+      if (dst == kInvalidId) {
         if (app.IsMandatory(recv)) return false;  // mandatory receiver unbound
         continue;
       }
-      if (std::find(path.begin(), path.end(), *dst) != path.end()) continue;
-      const auto extension = arch.ShortestPath(path.back(), *dst);
-      if (!extension) return false;
-      path.insert(path.end(), extension->begin() + 1, extension->end());
+      if (std::find(path.begin(), path.end(), dst) != path.end()) continue;
+      // Extend by ShortestPath(path.back(), dst) without its first resource.
+      const ResourceId from = path.back();
+      auto& tree = trees[from];
+      if (tree.empty()) tree = arch.ShortestPathTree(from);
+      if (tree[dst] == kInvalidId) return false;
+      const std::size_t mark = path.size();
+      for (ResourceId r = dst; r != from; r = tree[r]) path.push_back(r);
+      std::reverse(path.begin() + static_cast<std::ptrdiff_t>(mark),
+                   path.end());
     }
-    impl.routing[c] = std::move(path);
+    impl.routing.emplace_hint(impl.routing.end(), c, path);
   }
 
   impl.allocation.assign(arch.ResourceCount(), false);
   for (std::size_t m : impl.binding) {
-    impl.allocation[spec.Mappings()[m].resource] = true;
+    impl.allocation[mappings[m].resource] = true;
   }
   for (const auto& [c, path] : impl.routing) {
     for (ResourceId r : path) impl.allocation[r] = true;

@@ -12,14 +12,14 @@ std::size_t Specification::AddMapping(TaskId task, ResourceId resource) {
     throw std::invalid_argument("mapping resource out of range");
   if (!IsComputational(architecture_.GetResource(resource).kind))
     throw std::invalid_argument("tasks cannot be mapped onto buses");
-  for (const MappingOption& m : mappings_) {
-    if (m.task == task && m.resource == resource)
+  by_task_.resize(application_.TaskCount());
+  by_resource_.resize(architecture_.ResourceCount());
+  for (std::size_t m : by_task_[task]) {
+    if (mappings_[m].resource == resource)
       throw std::invalid_argument("duplicate mapping option");
   }
   const std::size_t index = mappings_.size();
   mappings_.push_back({task, resource});
-  by_task_.resize(application_.TaskCount());
-  by_resource_.resize(architecture_.ResourceCount());
   by_task_[task].push_back(index);
   by_resource_[resource].push_back(index);
   return index;

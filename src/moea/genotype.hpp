@@ -6,11 +6,21 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace bistdse::moea {
+
+/// Working memory of Genotype::DecisionOrder. A decoder that keeps one
+/// across calls orders every genotype after the first without allocating.
+struct DecisionOrderScratch {
+  std::vector<std::uint64_t> keys, spare_keys;
+  std::vector<std::uint32_t> order, spare_order, counts;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
+};
 
 struct Genotype {
   std::vector<double> priorities;     ///< Higher decides earlier.
@@ -18,7 +28,11 @@ struct Genotype {
 
   std::size_t Size() const { return priorities.size(); }
 
-  /// Decision order implied by the priorities (descending; stable).
+  /// Decision order implied by the priorities: descending, ties by
+  /// ascending index (-0.0 ties with +0.0). The span points into `scratch`
+  /// and stays valid until its next use.
+  std::span<const std::uint32_t> DecisionOrder(
+      DecisionOrderScratch& scratch) const;
   std::vector<std::uint32_t> DecisionOrder() const;
 };
 

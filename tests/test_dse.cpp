@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "casestudy/casestudy.hpp"
@@ -7,6 +8,7 @@
 #include "dse/exploration.hpp"
 #include "dse/objectives.hpp"
 #include "dse/parallel.hpp"
+#include "model/implementation.hpp"
 
 namespace bistdse::dse {
 namespace {
@@ -325,6 +327,117 @@ TEST(Exploration, ParallelFrontFingerprintMatchesSeedSolver) {
   EXPECT_EQ(result.decoder_stats.decodes, 2000u);
   EXPECT_GT(result.decoder_stats.decode_seconds, 0.0);
   EXPECT_GE(result.decoder_stats.solver.inprocess_runs, 1u);
+}
+
+TEST(Exploration, FourIslandFrontFingerprintAtSeed3) {
+  // The benchmark's explore set-up at a small budget: full case study, four
+  // islands over one shared engine, seed 3, 2000 evaluations in all. Pinned
+  // before the decode bookkeeping (decision order, routing completion,
+  // evaluation context) went linear-time.
+  auto cs = casestudy::BuildCaseStudy();
+  ExplorationConfig cfg;
+  cfg.evaluations = 500;
+  cfg.population_size = 100;
+  cfg.seed = 3;
+  const auto result = ExploreParallel(cs.spec, cs.augmentation, cfg, 4);
+  EXPECT_EQ(result.decoder_stats.decodes, 2000u);
+  EXPECT_EQ(FrontFingerprint(result.pareto), 0x88cb6c5009d0d4cbULL);
+}
+
+/// The routing completion this repo used before the task-indexed pass: every
+/// sender and receiver lookup rescans the whole binding (O(messages x
+/// binding)), and every route extension runs its own BFS.
+bool CompleteRoutingByScan(const model::Specification& spec,
+                           model::Implementation& impl) {
+  const auto& app = spec.Application();
+  const auto& arch = spec.Architecture();
+  impl.routing.clear();
+  for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
+    const model::Message& msg = app.GetMessage(c);
+    const auto src = impl.BoundResource(spec, msg.sender);
+    if (!src) continue;
+    std::vector<model::ResourceId> path{*src};
+    for (model::TaskId recv : msg.receivers) {
+      const auto dst = impl.BoundResource(spec, recv);
+      if (!dst) {
+        if (app.IsMandatory(recv)) return false;
+        continue;
+      }
+      if (std::find(path.begin(), path.end(), *dst) != path.end()) continue;
+      const auto extension = arch.ShortestPath(path.back(), *dst);
+      if (!extension) return false;
+      path.insert(path.end(), extension->begin() + 1, extension->end());
+    }
+    impl.routing[c] = std::move(path);
+  }
+  impl.allocation.assign(arch.ResourceCount(), false);
+  for (std::size_t m : impl.binding) {
+    impl.allocation[spec.Mappings()[m].resource] = true;
+  }
+  for (const auto& [c, path] : impl.routing) {
+    for (model::ResourceId r : path) impl.allocation[r] = true;
+  }
+  return true;
+}
+
+TEST(Routing, CompletionMatchesPerTaskScan) {
+  // Bindings decoded from random genotypes, then perturbed in turn: kept,
+  // a second option of a bound task inserted before or after its first
+  // one (the first binding wins), one entry erased (often an unbound
+  // mandatory receiver: false), or shuffled.
+  std::size_t duplicated = 0, infeasible = 0, compared = 0;
+  for (const bool future : {false, true}) {
+    const auto cs = future ? casestudy::BuildFutureCaseStudy()
+                           : casestudy::BuildCaseStudy();
+    SatDecoder decoder(cs.spec, cs.augmentation);
+    util::SplitMix64 rng(future ? 41 : 37);
+    for (int trial = 0; trial < 120; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "future " << future << " trial "
+                                        << trial);
+      const auto genotype = moea::RandomGenotypeBiased(
+          decoder.GenotypeSize(), rng.UnitReal(), rng);
+      const auto decoded = decoder.Decode(genotype);
+      ASSERT_TRUE(decoded.has_value());
+      model::Implementation input;
+      input.binding = decoded->binding;
+      auto& binding = input.binding;
+      const std::size_t at = rng.Below(binding.size());
+      switch (trial % 4) {
+        case 1: {
+          const std::size_t pick = binding[at];
+          for (std::size_t m :
+               cs.spec.MappingsOfTask(cs.spec.Mappings()[pick].task)) {
+            if (m == pick) continue;
+            binding.insert(binding.begin() + at + rng.Below(2), m);
+            ++duplicated;
+            break;
+          }
+          break;
+        }
+        case 2:
+          binding.erase(binding.begin() + at);
+          break;
+        case 3:
+          for (std::size_t i = binding.size(); i > 1; --i) {
+            std::swap(binding[i - 1], binding[rng.Below(i)]);
+          }
+          break;
+        default:
+          break;
+      }
+      model::Implementation fast = input;
+      model::Implementation oracle = input;
+      const bool ok = model::CompleteRoutingAndAllocation(cs.spec, fast);
+      ASSERT_EQ(ok, CompleteRoutingByScan(cs.spec, oracle));
+      EXPECT_EQ(fast.routing, oracle.routing);
+      EXPECT_EQ(fast.allocation, oracle.allocation);
+      infeasible += !ok;
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 200u);
+  EXPECT_GT(duplicated, 20u);
+  EXPECT_GT(infeasible, 0u);
 }
 
 TEST(Exploration, DeterministicForFixedSeed) {

@@ -7,8 +7,12 @@
 //       the same explorations on fresh engines — without changing a front.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
 #include <unordered_map>
 
+#include "can/canfd.hpp"
+#include "can/mirroring.hpp"
 #include "casestudy/casestudy.hpp"
 #include "dse/evaluation_engine.hpp"
 #include "dse/exploration.hpp"
@@ -289,6 +293,180 @@ TEST(Stages, SessionVerdictStagePlugsIn) {
   EXPECT_EQ(evaluated->objectives.failed_sessions, 0u);
   ASSERT_EQ(evaluated->vector.size(), 4u);
   EXPECT_EQ(evaluated->vector.back(), 0.0);
+}
+
+/// The map-based context this repo used before the task-indexed one: the
+/// last binding of a task wins, and each ECU's Eq.-1 set is a vector of
+/// CanMessage copies in message-id order.
+struct OracleContext {
+  std::vector<EvaluationContext::ProgramPlacement> programs;
+  std::uint32_t ecus_allocated = 0;
+};
+
+OracleContext BuildOracleContext(const model::Specification& spec,
+                                 const model::BistAugmentation& augmentation,
+                                 const model::Implementation& impl,
+                                 const EvaluationOptions& options) {
+  const auto& app = spec.Application();
+  const auto& arch = spec.Architecture();
+  std::map<model::TaskId, model::ResourceId> bound_at;
+  for (std::size_t m : impl.binding) {
+    bound_at[spec.Mappings()[m].task] = spec.Mappings()[m].resource;
+  }
+  std::map<model::ResourceId, std::vector<can::CanMessage>> tx_messages;
+  for (model::MessageId c = 0; c < app.MessageCount(); ++c) {
+    const model::Message& msg = app.GetMessage(c);
+    if (msg.diagnostic) continue;
+    const auto it = bound_at.find(msg.sender);
+    if (it == bound_at.end()) continue;
+    can::CanMessage cm;
+    cm.name = msg.name;
+    cm.payload_bytes = msg.payload_bytes;
+    cm.period_ms = msg.period_ms;
+    tx_messages[it->second].push_back(cm);
+  }
+  OracleContext out;
+  for (const auto& [ecu, ecu_programs] : augmentation.programs_by_ecu) {
+    for (const auto& prog : ecu_programs) {
+      EvaluationContext::ProgramPlacement placement;
+      placement.program = &prog;
+      placement.ecu = ecu;
+      const auto test_it = bound_at.find(prog.test_task);
+      placement.test_bound = test_it != bound_at.end();
+      const auto data_it = bound_at.find(prog.data_task);
+      placement.data_bound = data_it != bound_at.end();
+      if (placement.data_bound) placement.data_at = data_it->second;
+      if (placement.test_bound) {
+        const model::Task& test = app.GetTask(prog.test_task);
+        const model::Task& data = app.GetTask(prog.data_task);
+        placement.session_ms = test.runtime_ms;
+        if (placement.data_bound && placement.data_at != ecu) {
+          const auto tx_it = tx_messages.find(ecu);
+          const std::span<const can::CanMessage> tx =
+              tx_it == tx_messages.end()
+                  ? std::span<const can::CanMessage>{}
+                  : std::span<const can::CanMessage>(tx_it->second);
+          double transfer_ms = 0.0;
+          if (options.use_can_fd && !tx.empty()) {
+            double bytes_per_ms = 0.0;
+            for (const can::CanMessage& m : tx) {
+              bytes_per_ms += static_cast<double>(can::RoundUpFdPayload(
+                                  options.fd_payload_bytes)) /
+                              m.period_ms;
+            }
+            transfer_ms = static_cast<double>(data.data_bytes) / bytes_per_ms;
+          } else {
+            transfer_ms = can::MirroredTransferTimeMs(data.data_bytes, tx);
+          }
+          placement.transfer_ms = transfer_ms;
+          placement.session_ms += transfer_ms;
+        }
+      }
+      out.programs.push_back(placement);
+    }
+  }
+  for (model::ResourceId r = 0; r < arch.ResourceCount(); ++r) {
+    if (r >= impl.allocation.size() || !impl.allocation[r]) continue;
+    if (arch.GetResource(r).kind == model::ResourceKind::Ecu) {
+      ++out.ecus_allocated;
+    }
+  }
+  return out;
+}
+
+/// Implementations of the full case study: decoded random genotypes, every
+/// second one with an extra option of a bound task appended (a task bound
+/// twice: the context keeps the last binding, routing the first).
+std::vector<model::Implementation> ContextInputs(const casestudy::CaseStudy& cs,
+                                                 std::size_t count) {
+  SatDecoder decoder(cs.spec, cs.augmentation);
+  util::SplitMix64 rng(29);
+  std::vector<model::Implementation> out;
+  while (out.size() < count) {
+    const auto genotype = moea::RandomGenotypeBiased(decoder.GenotypeSize(),
+                                                     rng.UnitReal(), rng);
+    auto impl = decoder.Decode(genotype);
+    if (!impl) continue;
+    if (out.size() % 2 == 1) {
+      const std::size_t pick = impl->binding[rng.Below(impl->binding.size())];
+      for (std::size_t m : cs.spec.MappingsOfTask(cs.spec.Mappings()[pick].task)) {
+        if (m != pick) {
+          impl->binding.push_back(m);
+          break;
+        }
+      }
+      if (!model::CompleteRoutingAndAllocation(cs.spec, *impl)) continue;
+    }
+    out.push_back(std::move(*impl));
+  }
+  return out;
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(EvaluationContext, PlacementsMatchMapOracleBitForBit) {
+  const auto cs = casestudy::BuildCaseStudy();
+  const auto inputs = ContextInputs(cs, 200);
+  EvaluationOptions fd;
+  fd.use_can_fd = true;
+  std::size_t remote = 0;
+  for (const EvaluationOptions& options : {EvaluationOptions{}, fd}) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "input " << i << " fd "
+                                        << options.use_can_fd);
+      const EvaluationContext context(cs.spec, cs.augmentation, inputs[i],
+                                      options);
+      const OracleContext oracle =
+          BuildOracleContext(cs.spec, cs.augmentation, inputs[i], options);
+      EXPECT_EQ(context.ecus_allocated, oracle.ecus_allocated);
+      ASSERT_EQ(context.programs.size(), oracle.programs.size());
+      for (std::size_t p = 0; p < oracle.programs.size(); ++p) {
+        const auto& got = context.programs[p];
+        const auto& want = oracle.programs[p];
+        EXPECT_EQ(got.program, want.program);
+        EXPECT_EQ(got.ecu, want.ecu);
+        EXPECT_EQ(got.test_bound, want.test_bound);
+        EXPECT_EQ(got.data_bound, want.data_bound);
+        EXPECT_EQ(got.data_at, want.data_at);
+        EXPECT_EQ(Bits(got.transfer_ms), Bits(want.transfer_ms));
+        EXPECT_EQ(Bits(got.session_ms), Bits(want.session_ms));
+        remote += want.transfer_ms != 0.0;
+      }
+    }
+  }
+  EXPECT_GT(remote, 0u);
+}
+
+TEST(EvaluationContext, StageObjectivesPinned) {
+  // FNV-1a over every Objectives field of the transition-quality stage
+  // list, classic and CAN FD Eq. 1, recorded before the context became
+  // task-indexed.
+  const auto cs = casestudy::BuildCaseStudy();
+  const auto inputs = ContextInputs(cs, 200);
+  const StageList stages = DefaultStages(true);
+  EvaluationOptions fd;
+  fd.use_can_fd = true;
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto u64 = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const EvaluationOptions& options : {EvaluationOptions{}, fd}) {
+    for (const auto& impl : inputs) {
+      const Objectives o =
+          EvaluateWithStages(cs.spec, cs.augmentation, impl, options, stages);
+      for (double d : o.ToMinimizationVector(stages)) u64(Bits(d));
+      u64(Bits(o.pattern_memory_cost));
+      u64(o.gateway_memory_bytes);
+      u64(o.distributed_memory_bytes);
+      u64(o.ecus_with_bist);
+      u64(o.ecus_allocated);
+      u64(o.sessions_without_bandwidth);
+    }
+  }
+  EXPECT_EQ(h, 0xd08d71cff9e56998ULL);
 }
 
 }  // namespace

@@ -112,6 +112,26 @@ TEST(Specification, MappingBookkeeping) {
                std::invalid_argument);
   EXPECT_THROW(sys.spec.AddMapping(sys.t_ctrl, sys.bus), std::invalid_argument);
   sys.spec.Validate();
+
+  // The duplicate check looks at the task's own options only: the same
+  // resource is fine for another task, and a duplicate added after other
+  // tasks' options still throws and leaves the bookkeeping as it was.
+  const std::size_t before = sys.spec.Mappings().size();
+  const std::size_t added = sys.spec.AddMapping(sys.t_sense, sys.ecu1);
+  EXPECT_EQ(added, before);
+  EXPECT_EQ(sys.spec.MappingsOnResource(sys.ecu1).size(), 2u);
+  for (TaskId t : {sys.t_ctrl, sys.t_sense}) {
+    EXPECT_THROW(sys.spec.AddMapping(t, sys.ecu1), std::invalid_argument);
+  }
+  try {
+    sys.spec.AddMapping(sys.t_ctrl, sys.ecu2);
+    ADD_FAILURE() << "duplicate mapping option accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "duplicate mapping option");
+  }
+  EXPECT_EQ(sys.spec.Mappings().size(), before + 1);
+  EXPECT_EQ(sys.spec.MappingsOfTask(sys.t_ctrl).size(), 2u);
+  EXPECT_EQ(sys.spec.MappingsOfTask(sys.t_sense).size(), 2u);
 }
 
 TEST(Specification, ValidateRejectsUnmappableMandatoryTask) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "moea/archive.hpp"
 #include "moea/indicators.hpp"
@@ -120,6 +123,77 @@ TEST(Genotype, DecisionOrderSortsByPriority) {
   g.priorities = {0.2, 0.9, 0.5};
   g.phases = {0, 1, 0};
   EXPECT_EQ(g.DecisionOrder(), (std::vector<std::uint32_t>{1, 2, 0}));
+}
+
+/// The DecisionOrder this repo used before the bucket sort: an indirect
+/// stable_sort on descending priority.
+std::vector<std::uint32_t> StableSortOrder(const std::vector<double>& p) {
+  std::vector<std::uint32_t> order(p.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return p[a] > p[b]; });
+  return order;
+}
+
+TEST(Genotype, DecisionOrderMatchesStableSort) {
+  util::SplitMix64 rng(23);
+  DecisionOrderScratch scratch;  // reused across growing and shrinking sizes
+  std::size_t checked = 0;
+  const auto check = [&](const std::vector<double>& priorities) {
+    Genotype g;
+    g.priorities = priorities;
+    g.phases.assign(priorities.size(), 0);
+    const auto want = StableSortOrder(priorities);
+    EXPECT_EQ(g.DecisionOrder(), want) << "size " << priorities.size();
+    const auto reused = g.DecisionOrder(scratch);
+    EXPECT_EQ(std::vector<std::uint32_t>(reused.begin(), reused.end()), want)
+        << "size " << priorities.size();
+    ++checked;
+  };
+  const auto draw = [&](std::size_t n, auto&& value) {
+    std::vector<double> p(n);
+    for (double& v : p) v = value();
+    return p;
+  };
+  const auto unit = [&] { return rng.UnitReal(); };
+
+  // Random UnitReal priorities, the decoder's case-study size among them.
+  for (std::size_t n : {0, 1, 2, 3, 17, 100, 1707, 5000}) {
+    for (int rep = 0; rep < 4; ++rep) check(draw(n, unit));
+  }
+  // The corner genotypes' levels: almost every gene ties.
+  constexpr double kCorner[] = {0.5, 0.9, 0.8, 0.1};
+  for (std::size_t levels = 1; levels <= 4; ++levels) {
+    check(draw(1707, [&] { return kCorner[rng.Below(levels)]; }));
+  }
+  // A corner genotype with a few mutated genes, as NSGA-II breeds them.
+  auto corner = draw(1707, [&] { return kCorner[rng.Below(4)]; });
+  for (int i = 0; i < 40; ++i) corner[rng.Below(corner.size())] = unit();
+  check(corner);
+  // +-0.0 tie with each other; negatives, subnormals and infinities order
+  // like the doubles they are.
+  constexpr double kMin = std::numeric_limits<double>::denorm_min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kSpecial[] = {0.0,   -0.0, kMin,  -kMin,  1e-310, -1e-310,
+                                 1e-300, -0.5, 0.5,   1.0,    -1.0,  kInf,
+                                 -kInf,  std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::lowest()};
+  const std::size_t specials = std::size(kSpecial);
+  check({0.0, -0.0, 0.0, -0.0});
+  check({-0.0, 0.5, 0.0, -1.0, -0.0});
+  for (std::size_t n : {2, 16, 17, 1707}) {
+    check(draw(n, [&] { return kSpecial[rng.Below(specials)]; }));
+    check(draw(n, [&] { return 2.0 * unit() - 1.0; }));
+    check(draw(n, [&] { return (unit() - 0.5) * 1e-308; }));  // subnormal
+    check(draw(n, [&] {
+      return rng.Chance(0.5) ? kSpecial[rng.Below(specials)]
+                             : (unit() - 0.5) * std::ldexp(1.0, -1060);
+    }));
+  }
+  // Keys that agree in all but their lowest bits.
+  check(draw(1707, [&] { return 0.75 + static_cast<double>(rng.Below(64)) *
+                                           std::ldexp(1.0, -52); }));
+  EXPECT_GT(checked, 50u);
 }
 
 TEST(Genotype, OperatorsAreDeterministic) {

@@ -206,6 +206,34 @@ TEST(RoutingEncoding, DecodeFingerprintMatchesSeedSolverOnCaseStudy) {
   EXPECT_GE(routed.Stats().solver.inprocess_runs, 1u);
 }
 
+TEST(RoutingEncoding, DecodeFingerprintPinnedOnTiedPriorities) {
+  // Priorities drawn from the corner-genotype levels plus +-0.0 tie most
+  // genes, so the decision order rests on the ascending-index tie-break.
+  // Pinned before Genotype::DecisionOrder became a radix sort.
+  constexpr double kLevels[] = {0.9, 0.8, 0.5, 0.1, 0.0, -0.0};
+  RoutedFixture fx;
+  RoutedSatDecoder fixture_decoder(fx.spec, fx.augmentation);
+  auto profiles = casestudy::PaperTableI();
+  profiles.resize(2);
+  auto cs = casestudy::BuildCaseStudy(profiles, 42);
+  RoutedSatDecoder case_decoder(cs.spec, cs.augmentation, 5);
+  util::SplitMix64 rng(17);
+  ImplFingerprint f;
+  const auto decode = [&](RoutedSatDecoder& decoder, int trials) {
+    for (int trial = 0; trial < trials; ++trial) {
+      auto genotype = moea::RandomGenotypeBiased(decoder.GenotypeSize(),
+                                                 rng.UnitReal(), rng);
+      for (double& p : genotype.priorities) p = kLevels[rng.Below(6)];
+      const auto impl = decoder.Decode(genotype);
+      ASSERT_TRUE(impl.has_value()) << "trial " << trial;
+      f.Add(*impl);
+    }
+  };
+  decode(fixture_decoder, 30);
+  decode(case_decoder, 5);
+  EXPECT_EQ(f.h, 0x3b45f4e1fd507774ULL);
+}
+
 TEST(RoutingEncoding, SupportsRedundantArchitectures) {
   // With a redundant direct bus between the ECUs, the derived shortest-path
   // router always picks one route; the full encoding may pick either — both
